@@ -11,12 +11,16 @@
 #                  live scrapes by design — plus the rrserver collection
 #                  service, its SDK and the sketch scheme) and the
 #                  worker-parallel paths (experiment grid, batch
-#                  disguise/sampling); the island scheduler and the sharded
-#                  and sketch collectors additionally run under -cpu 1,4 to
-#                  exercise both the single-P and multi-P schedules
-#   fuzz smoke     a short -fuzz burst on the sketch hash→disguise→debias
+#                  disguise/sampling); the island scheduler and the
+#                  collector's concurrency tests (multi-shard ingest, Merge
+#                  and snapshots racing queries, writers, dense and sketch
+#                  schemes) additionally run under -cpu 1,4 to exercise both
+#                  the single-P and multi-P schedules
+#   fuzz smoke     short -fuzz bursts on the sketch hash→disguise→debias
 #                  round trip (estimates stay finite and near-normalized for
-#                  arbitrary parameters)
+#                  arbitrary parameters) and on the collector snapshot
+#                  decoder (every input is rejected as ErrBadSnapshot or
+#                  round-trips to the same counts and scheme version)
 #   bench smoke    the BenchmarkOptimize trio (baseline, traced, island
 #                  scaling) plus the hot-path micro-benchmarks (fused
 #                  evaluation, extra-objective evaluation, Kronecker-factored
@@ -24,9 +28,9 @@
 #                  SPEA2 scratch — 2-D and k-dimensional — bound repair,
 #                  batch disguise, convergence-snapshot emission, histogram
 #                  quantiles) and
-#                  the safe-vs-sharded collector contention matrix with the
-#                  batched writer, the sketch collector's parallel ingest
-#                  and full-domain heavy-hitter scan, and the rrserver HTTP
+#                  the collector contention matrix with the batched writer,
+#                  parallel ingest and the full-domain heavy-hitter scan
+#                  over a count-mean sketch, and the rrserver HTTP
 #                  batch-ingest path (with its p99 batch latency as a custom
 #                  metric), at pinned -benchtime/-count with -benchmem, all
 #                  rendered into BENCH_optimize.json
@@ -67,7 +71,7 @@ echo "== go test -race (collector, core, obs, rrserver, sketch) =="
 go test -race ./internal/collector ./internal/core ./internal/obs \
     ./internal/rrserver ./internal/rrclient ./internal/sketch
 
-echo "== go test -race -cpu 1,4 (islands, collector sharding, joint evaluation) =="
+echo "== go test -race -cpu 1,4 (islands, collector concurrency, joint evaluation) =="
 go test -race -cpu 1,4 -run 'Island|Sharded|Writer|Contention|Race|Concurrent|Multi|Joint|Sketch' \
     ./internal/core ./internal/collector ./internal/metrics
 
@@ -75,8 +79,9 @@ echo "== go test -race (parallel paths) =="
 go test -race -run 'Parallel|Grid|Batch|Stream|Tuple' \
     ./internal/experiments ./internal/rr ./internal/dataset
 
-echo "== fuzz smoke (sketch round trip) =="
+echo "== fuzz smoke (sketch round trip, snapshot decoder) =="
 go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 5s ./internal/sketch
+go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 5s ./internal/collector
 
 echo "== bench smoke =="
 # Iteration counts are pinned (-benchtime=Nx -count=1) so runs are

@@ -243,11 +243,11 @@ func main() {
 
 // simulateCollection plays a collection campaign: *collectN respondents draw
 // their true value from the prior, disguise it with m, and report to an
-// instrumented concurrency-safe collector that snapshots its running
+// instrumented collector that snapshots its running
 // reconstruction after every batch. With -metrics-addr this is the
 // long-running scenario worth watching over expvar/pprof.
 func simulateCollection(m *optrr.Matrix, prior []float64, n int, seed uint64, telem *obs.CLI) error {
-	c := optrr.NewSafeCollector(m)
+	c := optrr.NewCollector(m, 1)
 	c.Instrument(telem.Recorder, telem.Registry)
 	rng := optrr.NewRand(seed + 1)
 

@@ -272,20 +272,14 @@ func runLoadtest(srv *rrserver.Server, f flags) error {
 	if err := srv.SnapshotNow(); err != nil {
 		return err
 	}
-	// The margin line is a dense-mode diagnostic; the sketch has no single
-	// full-domain margin to quote.
-	if col := srv.Collector(); col != nil {
-		est, err := col.Snapshot(srv.Z())
+	// The margin line quotes the worst full-domain half-width, which only a
+	// dense matrix has cheaply; a sketch answers point queries.
+	if _, dense := srv.Scheme().(*rr.Matrix); dense {
+		margin, err := srv.Collector().MarginOfError(srv.Z())
 		if err != nil {
 			return err
 		}
-		worst := 0.0
-		for _, h := range est.HalfWidth {
-			if h > worst {
-				worst = h
-			}
-		}
-		fmt.Printf("margin\t%.6f\n", worst)
+		fmt.Printf("margin\t%.6f\n", margin)
 	}
 	return nil
 }

@@ -9,8 +9,10 @@ import (
 // the respondent, incremental aggregation at the collector, and running
 // reconstruction with confidence intervals.
 
-// Collector accumulates disguised reports and answers distribution queries
-// at any point during collection.
+// Collector accumulates disguised reports under any Scheme and answers
+// distribution queries at any point during collection. It is safe for
+// concurrent use: counts are striped across cache-line-padded shards, and
+// queries fold one consistent point in time.
 type Collector = collector.Collector
 
 // CollectionSummary is a point-in-time view of a collection: the
@@ -20,34 +22,16 @@ type CollectionSummary = collector.Summary
 // Respondent holds one private value and submits disguised reports.
 type Respondent = collector.Respondent
 
-// SafeCollector is a Collector safe for concurrent ingestion and querying.
-type SafeCollector = collector.SafeCollector
+// NewCollector returns a collector for reports disguised with the given
+// scheme — a dense *Matrix or a SketchScheme — striped across shards
+// (<= 0 picks a default sized to GOMAXPROCS).
+func NewCollector(s Scheme, shards int) *Collector { return collector.New(s, shards) }
 
-// ShardedCollector is a concurrency-safe collector that stripes counts
-// across independently locked shards, for ingestion rates where a single
-// mutex becomes the bottleneck. Queries are consistent points in time and
-// match SafeCollector bit for bit on identical streams.
-type ShardedCollector = collector.ShardedCollector
-
-// NewCollector returns a collector for reports disguised with m. It is not
-// safe for concurrent use; see NewSafeCollector.
-func NewCollector(m *Matrix) *Collector { return collector.New(m) }
-
-// NewSafeCollector returns a concurrency-safe collector for reports
-// disguised with m.
-func NewSafeCollector(m *Matrix) *SafeCollector { return collector.NewSafe(m) }
-
-// NewShardedCollector returns a sharded collector for reports disguised
-// with m, striped across the given number of shards (<= 0 picks a default
-// sized to GOMAXPROCS).
-func NewShardedCollector(m *Matrix, shards int) *ShardedCollector {
-	return collector.NewSharded(m, shards)
-}
-
-// RestoreShardedCollector rebuilds a sharded collector from a snapshot
-// produced by its MarshalJSON, for crash recovery of a running campaign.
-func RestoreShardedCollector(data []byte, shards int) (*ShardedCollector, error) {
-	return collector.RestoreSharded(data, shards)
+// RestoreCollector rebuilds a collector from a snapshot produced by its
+// MarshalJSON (or a legacy dense snapshot), for crash recovery of a running
+// campaign.
+func RestoreCollector(data []byte, shards int) (*Collector, error) {
+	return collector.Restore(data, shards)
 }
 
 // NewRespondent prepares a respondent holding the given private value.

@@ -107,7 +107,7 @@ func ExampleNewCollector() {
 		panic(err)
 	}
 	rng := optrr.NewRand(1965)
-	c := optrr.NewCollector(m)
+	c := optrr.NewCollector(m, 1)
 	// 20,000 respondents, 12% with the sensitive trait.
 	for i := 0; i < 20000; i++ {
 		value := 0

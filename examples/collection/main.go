@@ -47,7 +47,7 @@ func main() {
 	// The campaign: users report in waves; after each wave the collector
 	// re-estimates and checks its margin of error.
 	rng := optrr.NewRand(80)
-	c := optrr.NewCollector(m)
+	c := optrr.NewCollector(m, 1)
 	users := sample(prior, 400000, rng)
 
 	const wave = 10000

@@ -2,28 +2,33 @@
 // paper (Section I): individuals hold private categorical values, each
 // applies randomized response locally, and a central collector aggregates
 // the disguised reports — never seeing an original value — while maintaining
-// a running reconstruction of the population distribution with
-// distribution-free error bars from the closed-form variance of Theorem 6.
+// a running reconstruction of the population distribution with confidence
+// bounds: the closed-form variance of Theorem 6 for a dense disguise
+// matrix, the scheme's own distribution-free bounds for a count-mean sketch.
 package collector
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync/atomic"
 
+	"optrr/internal/mining"
+	"optrr/internal/obs"
 	"optrr/internal/randx"
 	"optrr/internal/rr"
 )
 
 // Collector errors.
 var (
-	// ErrBadReport reports a disguised value outside the category domain.
+	// ErrBadReport reports a disguised value outside the report space.
 	ErrBadReport = errors.New("collector: report out of category range")
 	// ErrNoReports reports an estimate request before any ingestion.
 	ErrNoReports = errors.New("collector: no reports ingested")
 	// ErrBadSnapshot reports a corrupted or inconsistent crash-recovery
-	// snapshot: RestoreSharded refuses it rather than poisoning every
-	// subsequent Estimate. Long-lived servers should treat it as "start
-	// fresh and alert", not as fatal.
+	// snapshot: Restore refuses it rather than poisoning every subsequent
+	// Estimate. Long-lived servers should treat it as "start fresh and
+	// alert", not as fatal.
 	ErrBadSnapshot = errors.New("collector: invalid snapshot")
 	// ErrBadMargin reports a margin target that is not a positive finite
 	// number, for which "reports needed" has no meaning.
@@ -32,127 +37,177 @@ var (
 	ErrWriterClosed = errors.New("collector: writer is closed")
 )
 
-// Collector accumulates disguised reports for one attribute and answers
-// distribution queries at any point during collection. It is not safe for
-// concurrent use; wrap it with a mutex (SafeCollector) or stripe it
-// (ShardedCollector) if multiple goroutines ingest.
+// Collector accumulates disguised reports for one attribute under any
+// rr.Scheme and answers distribution queries at any point during
+// collection. It is safe for concurrent use.
+//
+// The counts live in cache-line-padded shards of atomic counters over the
+// scheme's report space, so memory is O(shards · ReportSpace) whatever the
+// domain size. A single report is one atomic add on the ingesting
+// goroutine's home shard — no lock, no shared write other than the counter
+// cell itself. Batches (IngestBatch, Merge, Writer.Flush) land whole on one
+// shard under that shard's mutex; queries take every shard mutex in index
+// order before folding, so a batch is either fully in a query's view or not
+// at all, and the total is derived from the counts actually read.
+//
+// How a fold becomes estimates and confidence bounds is the one thing that
+// differs between scheme kinds, and New picks it once (see bounds): a dense
+// *rr.Matrix reconstructs through an LU factorization cached at
+// construction, with Theorem-6 half-widths and margin projection; any other
+// scheme debiases through its EstimateFrom and states its own bounds when it
+// has EstimateWithBound, as the count-mean sketch does.
 //
 // Instrument attaches live metrics and structured trace events; a bare
 // collector carries no instrumentation and pays nothing for the hooks.
+//
+// The zero value is not usable; construct with New or Restore.
 type Collector struct {
-	m      *rr.Matrix
-	counts []int
-	total  int
+	scheme rr.Scheme
+	bounds bounds
+	set    shardSet
+	cursor atomic.Uint64 // round-robins Writer shard assignment only
 	ins    *instrumentation
-	// sv caches the LU factorization (and inverse) of m, computed once at
-	// construction: queries are triangular solves, not refactorizations.
-	sv *solver
 }
 
-// New returns a collector for reports disguised with the given matrix. The
-// matrix is factorized once here; a singular matrix is accepted (ingestion
-// still works) but every estimate query will return rr.ErrSingular.
-func New(m *rr.Matrix) *Collector {
-	return &Collector{m: m, counts: make([]int, m.N()), sv: newSolver(m)}
-}
-
-// Categories returns the attribute domain size.
-func (c *Collector) Categories() int { return len(c.counts) }
-
-// Count returns the number of reports ingested so far.
-func (c *Collector) Count() int { return c.total }
-
-// Counts returns a copy of the per-category report counts.
-func (c *Collector) Counts() []int {
-	out := make([]int, len(c.counts))
-	copy(out, c.counts)
-	return out
-}
-
-// Ingest adds one disguised report.
-func (c *Collector) Ingest(report int) error {
-	if report < 0 || report >= len(c.counts) {
-		c.ins.observeBad()
-		return fmt.Errorf("%w: %d of %d categories", ErrBadReport, report, len(c.counts))
+// New returns a collector for reports disguised with the given scheme,
+// striped across shards (rounded up to a power of two; shards <= 0 picks a
+// default sized to GOMAXPROCS). A singular dense matrix is accepted —
+// ingestion works, estimate queries return rr.ErrSingular.
+func New(scheme rr.Scheme, shards int) *Collector {
+	return &Collector{
+		scheme: scheme,
+		bounds: boundsFor(scheme),
+		set:    newShardSet(shards, scheme.ReportSpace()),
 	}
-	c.counts[report]++
-	c.total++
+}
+
+// Scheme returns the scheme the reports are disguised with.
+func (c *Collector) Scheme() rr.Scheme { return c.scheme }
+
+// Categories returns the original domain size the scheme covers.
+func (c *Collector) Categories() int { return c.scheme.Domain() }
+
+// ReportSpace returns the encoded report space the counters cover: the
+// category count for a dense matrix, k·m for a count-mean sketch.
+func (c *Collector) ReportSpace() int { return c.set.width }
+
+// Shards returns the number of stripes.
+func (c *Collector) Shards() int { return len(c.set.shards) }
+
+// Instrument attaches a recorder and a metrics registry (see
+// newInstrumentation), with per-category report series for dense schemes
+// only: sketch reports are (hash row, cell) pairs, not categories. Call
+// before ingestion starts; the attachment itself is not synchronized.
+func (c *Collector) Instrument(rec obs.Recorder, reg *obs.Registry) {
+	categories := 0
+	if _, dense := c.scheme.(*rr.Matrix); dense {
+		categories = c.set.width
+	}
+	c.ins = newInstrumentation(rec, reg, categories)
+}
+
+// Ingest adds one disguised report: a single atomic increment on the calling
+// goroutine's home shard.
+func (c *Collector) Ingest(report int) error {
+	if report < 0 || report >= c.set.width {
+		c.ins.observeBad()
+		return fmt.Errorf("%w: %d of report space %d", ErrBadReport, report, c.set.width)
+	}
+	c.set.home().counts[report].Add(1)
 	c.ins.observeIngest(report)
 	return nil
 }
 
-// IngestBatch adds many reports; on error the collector state is unchanged.
+// IngestBatch adds many reports atomically onto one shard; on error the
+// collector state is unchanged. The shard mutex holds the batch together
+// against queries; the adds stay atomic because lock-free single reports may
+// land on the same shard concurrently.
 func (c *Collector) IngestBatch(reports []int) error {
 	for _, r := range reports {
-		if r < 0 || r >= len(c.counts) {
+		if r < 0 || r >= c.set.width {
 			c.ins.observeBad()
-			return fmt.Errorf("%w: %d of %d categories", ErrBadReport, r, len(c.counts))
+			return fmt.Errorf("%w: %d of report space %d", ErrBadReport, r, c.set.width)
 		}
 	}
+	sh := c.set.home()
+	sh.mu.Lock()
 	for _, r := range reports {
-		c.counts[r]++
-		c.ins.observeIngest(r)
+		sh.counts[r].Add(1)
 	}
-	c.total += len(reports)
-	c.ins.observeBatch(len(reports), c.total)
+	sh.mu.Unlock()
+	if c.ins != nil {
+		for _, r := range reports {
+			c.ins.observeIngest(r)
+		}
+		c.ins.observeBatch(len(reports), c.Count())
+	}
 	return nil
 }
 
-// Disguised returns the empirical distribution of the disguised reports.
-func (c *Collector) Disguised() ([]float64, error) {
-	if c.total == 0 {
+// fold takes one consistent (counts, total) view under every shard lock.
+func (c *Collector) fold() ([]int, int) {
+	defer c.set.lockAll()()
+	return c.set.countsLocked()
+}
+
+// Count returns the number of reports ingested so far.
+func (c *Collector) Count() int {
+	_, total := c.fold()
+	return total
+}
+
+// Counts returns a consistent copy of the per-report counts.
+func (c *Collector) Counts() []int {
+	counts, _ := c.fold()
+	return counts
+}
+
+// Estimate returns the raw debiased frequency estimates for the requested
+// original categories, from one consistent fold; with no arguments it
+// estimates the full domain. A dense matrix answers through the cached
+// factorization (the Theorem-1 inversion estimator); components may fall
+// slightly outside [0, 1] for small samples, and Snapshot reports the
+// simplex-clipped reconstruction.
+func (c *Collector) Estimate(categories ...int) ([]float64, error) {
+	counts, total := c.fold()
+	if total == 0 {
 		return nil, ErrNoReports
 	}
-	out := make([]float64, len(c.counts))
-	inv := 1 / float64(c.total)
-	for i, n := range c.counts {
-		out[i] = float64(n) * inv
-	}
-	return out, nil
-}
-
-// Estimate reconstructs the original distribution from the reports ingested
-// so far (inversion estimator, Theorem 1) through the cached factorization.
-// Components may fall slightly outside [0, 1] for small samples; see
-// EstimateClipped.
-func (c *Collector) Estimate() ([]float64, error) {
-	pStar, err := c.Disguised()
-	if err != nil {
-		return nil, err
-	}
-	return c.sv.estimate(pStar)
-}
-
-// EstimateClipped is Estimate projected onto the probability simplex.
-func (c *Collector) EstimateClipped() ([]float64, error) {
-	est, err := c.Estimate()
-	if err != nil {
-		return nil, err
-	}
-	return rr.Clip(est), nil
+	return c.bounds.estimate(counts, total, categories)
 }
 
 // Summary is a point-in-time view of the collection.
 type Summary struct {
 	// Reports is the number of reports behind the estimate.
 	Reports int
-	// Disguised is the empirical disguised distribution.
+	// Disguised is the empirical distribution of the dense reports; nil
+	// for schemes whose report space is not the category domain.
 	Disguised []float64
-	// Estimate is the reconstructed original distribution (clipped).
+	// Estimate is the reconstruction the half-widths are stated for: the
+	// simplex-clipped inversion for a dense matrix, the raw debiased
+	// frequencies otherwise.
 	Estimate []float64
-	// HalfWidth contains per-category half-widths of approximate normal
-	// confidence intervals at the z used for the snapshot.
+	// HalfWidth holds per-category confidence half-widths at Z; nil when
+	// the scheme states no bounds.
 	HalfWidth []float64
 	// Z is the normal quantile the half-widths were computed at.
 	Z float64
 }
 
-// Snapshot returns the current reconstruction with z-quantile confidence
-// half-widths (z = 1.96 for ~95%). The variance comes from Theorem 6
-// evaluated at the clipped estimate, through the inverse cached at
-// construction.
-func (c *Collector) Snapshot(z float64) (Summary, error) {
-	s, err := summarize(c.sv, c.counts, c.total, z)
+// Snapshot returns the current reconstruction of the requested categories
+// (all of them when none are given) from one consistent fold, with
+// z-quantile confidence half-widths (z = 1.96 for ~95%; see bounds).
+func (c *Collector) Snapshot(z float64, categories ...int) (Summary, error) {
+	// !(z > 0) rather than z <= 0: NaN fails every comparison, so a NaN z
+	// would otherwise sail through and poison every half-width.
+	if !(z > 0) || math.IsInf(z, 1) {
+		return Summary{}, fmt.Errorf("collector: z must be a positive finite number, got %v", z)
+	}
+	counts, total := c.fold()
+	if total == 0 {
+		return Summary{}, ErrNoReports
+	}
+	s, err := c.bounds.summarize(counts, total, z, categories)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -174,9 +229,71 @@ func (c *Collector) MarginOfError(z float64) (float64, error) {
 // ReportsForMargin returns the approximate number of reports needed for the
 // worst-category half-width at quantile z to shrink to the target margin,
 // assuming the current estimate of the distribution. It needs at least one
-// ingested report to calibrate.
+// ingested report to calibrate, and a dense matrix: a sketch's collision
+// term does not shrink with more reports.
 func (c *Collector) ReportsForMargin(margin, z float64) (int, error) {
-	return reportsForMargin(c.sv, c.counts, c.total, margin, z)
+	sv, dense := c.bounds.(*solver)
+	if !dense {
+		return 0, fmt.Errorf("collector: margin projection needs a dense matrix scheme, not %q", c.scheme.Kind())
+	}
+	counts, total := c.fold()
+	return sv.reportsForMargin(counts, total, margin, z)
+}
+
+// HeavyHitters returns the categories whose reconstructed frequency (the
+// Summary estimate) is at least threshold, sorted descending (ties by
+// category index), at most limit of them when limit > 0. It folds and
+// debiases the domain once, then runs mining's scan over that vector.
+func (c *Collector) HeavyHitters(threshold float64, limit int) ([]mining.Frequent, error) {
+	counts, total := c.fold()
+	if total == 0 {
+		return nil, ErrNoReports
+	}
+	ests, err := c.bounds.reconstruct(counts, total)
+	if err != nil {
+		return nil, err
+	}
+	hits, err := mining.HeavyHitters(mining.Frequencies(ests), threshold)
+	if err != nil {
+		return nil, err
+	}
+	if limit > 0 && len(hits) > limit {
+		hits = hits[:limit]
+	}
+	return hits, nil
+}
+
+// Merge folds a consistent view of other's counts into c, e.g. to combine
+// per-region collectors into a campaign-wide one. Both must carry the same
+// rr.SchemeVersion: counts disguised under different matrices or hash
+// families do not debias together. other is left unchanged. Merging a
+// collector into itself deadlocks; don't.
+func (c *Collector) Merge(other *Collector) error {
+	if c.set.width != other.set.width {
+		return fmt.Errorf("%w: merging report space %d into %d", rr.ErrShape, other.set.width, c.set.width)
+	}
+	cv, err := rr.SchemeVersion(c.scheme)
+	if err != nil {
+		return err
+	}
+	ov, err := rr.SchemeVersion(other.scheme)
+	if err != nil {
+		return err
+	}
+	if cv != ov {
+		return fmt.Errorf("collector: merge requires identical schemes (version %s vs %s)", cv, ov)
+	}
+	counts, total := other.fold()
+	sh := c.set.home()
+	sh.mu.Lock()
+	for k, v := range counts {
+		sh.counts[k].Add(int64(v))
+	}
+	sh.mu.Unlock()
+	if c.ins != nil {
+		c.ins.observeBatch(total, c.Count())
+	}
+	return nil
 }
 
 // Respondent models one individual: a private value and the shared disguise
@@ -209,8 +326,8 @@ func (r *Respondent) Report(rng *randx.Source) int {
 }
 
 // Simulate runs a complete collection campaign: records values drawn from
-// the prior, disguised with m, ingested into a fresh collector. It returns
-// the collector ready for querying.
+// the prior, disguised with m, ingested into a fresh single-shard
+// collector. It returns the collector ready for querying.
 func Simulate(m *rr.Matrix, prior []float64, records int, rng *randx.Source) (*Collector, error) {
 	if records <= 0 {
 		return nil, fmt.Errorf("collector: records must be positive, got %d", records)
@@ -227,9 +344,18 @@ func Simulate(m *rr.Matrix, prior []float64, records int, rng *randx.Source) (*C
 	if err != nil {
 		return nil, err
 	}
-	c := New(m)
+	c := New(m, 1)
 	if err := c.IngestBatch(disguised); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
+
+// Deprecated: use New; kept only because perfbench, pinned with the benchmark, calls it.
+func NewSharded(m *rr.Matrix, shards int) *Collector { return New(m, shards) }
+
+// Deprecated: use New; kept only because perfbench, pinned with the benchmark, calls it.
+func NewSketch(scheme rr.Scheme, shards int) *Collector { return New(scheme, shards) }
+
+// Deprecated: use Collector; kept only because perfbench, pinned with the benchmark, names it.
+type SketchCollector = Collector

@@ -19,7 +19,7 @@ func mustWarner(t testing.TB, n int, p float64) *rr.Matrix {
 }
 
 func TestIngestValidation(t *testing.T) {
-	c := New(mustWarner(t, 3, 0.8))
+	c := New(mustWarner(t, 3, 0.8), 1)
 	if err := c.Ingest(3); !errors.Is(err, ErrBadReport) {
 		t.Fatalf("err = %v, want ErrBadReport", err)
 	}
@@ -35,7 +35,7 @@ func TestIngestValidation(t *testing.T) {
 }
 
 func TestIngestBatchAtomic(t *testing.T) {
-	c := New(mustWarner(t, 3, 0.8))
+	c := New(mustWarner(t, 3, 0.8), 1)
 	if err := c.IngestBatch([]int{0, 1, 7}); !errors.Is(err, ErrBadReport) {
 		t.Fatalf("err = %v, want ErrBadReport", err)
 	}
@@ -52,7 +52,7 @@ func TestIngestBatchAtomic(t *testing.T) {
 }
 
 func TestEstimateBeforeIngestion(t *testing.T) {
-	c := New(mustWarner(t, 3, 0.8))
+	c := New(mustWarner(t, 3, 0.8), 1)
 	if _, err := c.Estimate(); !errors.Is(err, ErrNoReports) {
 		t.Fatalf("err = %v, want ErrNoReports", err)
 	}
@@ -68,10 +68,11 @@ func TestSimulateRecoversPrior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := c.EstimateClipped()
+	sum, err := c.Snapshot(1.96)
 	if err != nil {
 		t.Fatal(err)
 	}
+	est := sum.Estimate
 	for k := range prior {
 		if math.Abs(est[k]-prior[k]) > 0.02 {
 			t.Errorf("category %d: %v vs %v", k, est[k], prior[k])
@@ -245,7 +246,7 @@ func TestEndToEndRespondentsToCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(m)
+	c := New(m, 1)
 	const population = 30000
 	for i := 0; i < population; i++ {
 		resp, err := NewRespondent(m, alias.Draw(rng))
@@ -270,7 +271,7 @@ func TestEndToEndRespondentsToCollector(t *testing.T) {
 }
 
 func BenchmarkIngest(b *testing.B) {
-	c := New(mustWarner(b, 10, 0.8))
+	c := New(mustWarner(b, 10, 0.8), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Ingest(i % 10); err != nil {

@@ -26,20 +26,11 @@ type instrumentation struct {
 	batchSize  *obs.Histogram // collector.batch_size
 }
 
-// Instrument attaches a recorder and a metrics registry to the collector.
-// Either may be nil: a nil rec records nothing, a nil reg sends the metrics
-// to a private unpublished registry (so the counters still work for local
-// inspection via the returned registry of a later call — callers wanting
-// them served must pass their own). Call before ingestion starts; the
-// method is not synchronized with concurrent use.
-func (c *Collector) Instrument(rec obs.Recorder, reg *obs.Registry) {
-	c.ins = newInstrumentation(rec, reg, len(c.counts))
-}
-
-// newInstrumentation builds the shared metric set for an n-category
-// collector. Collector and ShardedCollector both register under the same
-// metric names, so dashboards don't care which collector variant is behind
-// the campaign.
+// newInstrumentation builds the metric set for a collector with n
+// per-category series (0 for schemes whose reports are not categories).
+// Either rec or reg may be nil: a nil rec records nothing, a nil reg sends
+// the metrics to a private unpublished registry — callers wanting them
+// served must pass their own.
 func newInstrumentation(rec obs.Recorder, reg *obs.Registry, n int) *instrumentation {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -62,7 +53,7 @@ func newInstrumentation(rec obs.Recorder, reg *obs.Registry, n int) *instrumenta
 }
 
 // observeIngest updates the per-report counters. The per-category counter is
-// bounds-guarded: the sketch collector registers no per-category series (its
+// bounds-guarded: a sketch collector registers no per-category series (its
 // report space is k·m sketch cells, not meaningful categories), so its
 // instrumentation has an empty perCat.
 func (ins *instrumentation) observeIngest(report int) {
@@ -107,12 +98,7 @@ func (ins *instrumentation) observeSnapshot(s Summary) {
 		return
 	}
 	ins.snapshots.Inc()
-	worst := 0.0
-	for _, h := range s.HalfWidth {
-		if h > worst {
-			worst = h
-		}
-	}
+	worst := s.worstHalfWidth()
 	ins.margin.Set(worst)
 	if ins.rec.Enabled() {
 		ins.rec.Record("collector.snapshot", obs.Fields{

@@ -13,7 +13,7 @@ func instrumentedCollector(t *testing.T) (*Collector, *obs.MemoryRecorder, *obs.
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(m)
+	c := New(m, 1)
 	rec := obs.NewMemory()
 	reg := obs.NewRegistry()
 	c.Instrument(rec, reg)
@@ -94,7 +94,7 @@ func TestInstrumentNilRegistryStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(m)
+	c := New(m, 1)
 	rec := obs.NewMemory()
 	c.Instrument(rec, nil) // metrics go to a private registry; events still flow
 	if err := c.IngestBatch([]int{0, 1, 1}); err != nil {
@@ -113,7 +113,7 @@ func TestUninstrumentedAndNopIngestAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := New(m)
+	bare := New(m, 1)
 	if n := testing.AllocsPerRun(200, func() {
 		if err := bare.Ingest(2); err != nil {
 			t.Fatal(err)
@@ -122,7 +122,7 @@ func TestUninstrumentedAndNopIngestAllocations(t *testing.T) {
 		t.Fatalf("bare Ingest allocated %v times per run, want 0", n)
 	}
 
-	nop := New(m)
+	nop := New(m, 1)
 	nop.Instrument(nil, obs.NewRegistry())
 	if n := testing.AllocsPerRun(200, func() {
 		if err := nop.Ingest(2); err != nil {

@@ -11,15 +11,15 @@ import (
 	"optrr/internal/rr"
 )
 
-// TestShardedMatchesSafeExactly pins the headline equivalence claim: a
-// ShardedCollector and a SafeCollector fed the identical report stream give
+// TestShardedMatchesSafeExactly pins the headline equivalence claim: an
+// 8-shard and a 1-shard collector fed the identical report stream give
 // bit-for-bit identical answers to every query — both reconstruct through
 // the same cached factorization of the same matrix over the same folded
 // counts, so no tolerance is needed.
 func TestShardedMatchesSafeExactly(t *testing.T) {
 	m := mustWarner(t, 5, 0.7)
-	safe := NewSafe(m)
-	sharded := NewSharded(m, 8)
+	safe := New(m, 1)
+	sharded := New(m, 8)
 
 	rng := randx.New(42)
 	for i := 0; i < 5000; i++ {
@@ -101,10 +101,10 @@ func TestShardedMatchesSafeExactly(t *testing.T) {
 	}
 }
 
-// TestShardedValidation mirrors the plain collector's ingest validation:
-// out-of-range reports are rejected, a bad batch leaves state unchanged.
+// TestShardedValidation: on a multi-shard collector out-of-range reports are
+// rejected and a bad batch leaves state unchanged.
 func TestShardedValidation(t *testing.T) {
-	c := NewSharded(mustWarner(t, 3, 0.8), 4)
+	c := New(mustWarner(t, 3, 0.8), 4)
 	if err := c.Ingest(3); !errors.Is(err, ErrBadReport) {
 		t.Fatalf("err = %v, want ErrBadReport", err)
 	}
@@ -124,7 +124,7 @@ func TestShardedValidation(t *testing.T) {
 
 // TestShardedDefaultShards: shards <= 0 picks a positive default.
 func TestShardedDefaultShards(t *testing.T) {
-	c := NewSharded(mustWarner(t, 3, 0.8), 0)
+	c := New(mustWarner(t, 3, 0.8), 0)
 	if c.Shards() < 1 {
 		t.Fatalf("default shards = %d", c.Shards())
 	}
@@ -137,7 +137,7 @@ func TestShardedDefaultShards(t *testing.T) {
 }
 
 // TestShardedSingularMatrix: construction accepts a singular matrix;
-// estimate queries return rr.ErrSingular, matching Collector.
+// estimate queries return rr.ErrSingular.
 func TestShardedSingularMatrix(t *testing.T) {
 	m, err := rr.FromColumns([][]float64{
 		{0.5, 0.5, 0},
@@ -147,7 +147,7 @@ func TestShardedSingularMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewSharded(m, 4)
+	c := New(m, 4)
 	if err := c.IngestBatch([]int{0, 1, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +163,9 @@ func TestShardedSingularMatrix(t *testing.T) {
 // merged counts equal a collector that saw both streams.
 func TestShardedMerge(t *testing.T) {
 	m := mustWarner(t, 4, 0.7)
-	a := NewSharded(m, 4)
-	b := NewSharded(m, 2)
-	whole := NewSharded(m, 1)
+	a := New(m, 4)
+	b := New(m, 2)
+	whole := New(m, 1)
 
 	rng := randx.New(7)
 	for i := 0; i < 1000; i++ {
@@ -199,11 +199,11 @@ func TestShardedMerge(t *testing.T) {
 	}
 
 	// Merging across different matrices is refused.
-	other := NewSharded(mustWarner(t, 4, 0.9), 2)
+	other := New(mustWarner(t, 4, 0.9), 2)
 	if err := a.Merge(other); err == nil {
 		t.Fatal("merge across different disguise matrices accepted")
 	}
-	mismatched := NewSharded(mustWarner(t, 3, 0.7), 2)
+	mismatched := New(mustWarner(t, 3, 0.7), 2)
 	if err := a.Merge(mismatched); !errors.Is(err, rr.ErrShape) {
 		t.Fatalf("dimension-mismatched merge err = %v, want rr.ErrShape", err)
 	}
@@ -214,7 +214,7 @@ func TestShardedMerge(t *testing.T) {
 // regardless of the shard count it is restored onto.
 func TestShardedSnapshotRestore(t *testing.T) {
 	m := mustWarner(t, 4, 0.75)
-	c := NewSharded(m, 8)
+	c := New(m, 8)
 	rng := randx.New(3)
 	for i := 0; i < 2000; i++ {
 		if err := c.Ingest(rng.Intn(4)); err != nil {
@@ -226,7 +226,7 @@ func TestShardedSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSharded(data, 3)
+	restored, err := Restore(data, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRestoreShardedRejectsBadSnapshots(t *testing.T) {
 		{"broken stochasticity", `{"matrix": {"categories": 2, "columns": [[0.8, 0.8], [0.2, 0.8]]}, "counts": [1, 2]}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := RestoreSharded([]byte(tc.data), 2); err == nil {
+			if _, err := Restore([]byte(tc.data), 2); err == nil {
 				t.Fatalf("snapshot %s accepted", tc.data)
 			}
 		})
@@ -282,8 +282,8 @@ func TestRestoreShardedRejectsBadSnapshots(t *testing.T) {
 // totals match what direct ingestion would give.
 func TestWriterFlushSemantics(t *testing.T) {
 	m := mustWarner(t, 4, 0.7)
-	c := NewSharded(m, 4)
-	direct := NewSharded(m, 1)
+	c := New(m, 4)
+	direct := New(m, 1)
 
 	w := c.NewWriter(1000) // larger than the stream: nothing auto-flushes
 	rng := randx.New(11)
@@ -323,7 +323,7 @@ func TestWriterFlushSemantics(t *testing.T) {
 // threshold, and a bad report errors immediately without contaminating it.
 func TestWriterAutoFlushAndValidation(t *testing.T) {
 	m := mustWarner(t, 3, 0.8)
-	c := NewSharded(m, 2)
+	c := New(m, 2)
 	w := c.NewWriter(10)
 	for i := 0; i < 25; i++ {
 		if err := w.Ingest(i % 3); err != nil {
@@ -355,7 +355,7 @@ func TestWriterAutoFlushAndValidation(t *testing.T) {
 // TestWritersSpreadAcrossShards: round-robin pinning sends consecutive
 // writers to distinct shards.
 func TestWritersSpreadAcrossShards(t *testing.T) {
-	c := NewSharded(mustWarner(t, 3, 0.8), 4)
+	c := New(mustWarner(t, 3, 0.8), 4)
 	seen := make(map[*shard]bool)
 	for i := 0; i < 4; i++ {
 		seen[c.NewWriter(8).sh] = true
@@ -365,11 +365,10 @@ func TestWritersSpreadAcrossShards(t *testing.T) {
 	}
 }
 
-// BenchmarkCollectorContention compares SafeCollector's single mutex with
-// the sharded atomic counters under 1-, 4- and 16-goroutine ingestion, plus
-// a buffered-Writer batch-ingest case driven through b.RunParallel. Reports
-// are pregenerated outside the timer; each goroutine ingests a disjoint
-// slice.
+// BenchmarkCollectorContention measures the sharded atomic counters under
+// 1-, 4- and 16-goroutine ingestion, plus a buffered-Writer batch-ingest
+// case driven through b.RunParallel. Reports are pregenerated outside the
+// timer; each goroutine ingests a disjoint slice.
 func BenchmarkCollectorContention(b *testing.B) {
 	m, err := rr.Warner(5, 0.75)
 	if err != nil {
@@ -404,15 +403,12 @@ func BenchmarkCollectorContention(b *testing.B) {
 		wg.Wait()
 	}
 	for _, g := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("safe/g%d", g), func(b *testing.B) {
-			run(b, NewSafe(m), g)
-		})
 		b.Run(fmt.Sprintf("sharded/g%d", g), func(b *testing.B) {
-			run(b, NewSharded(m, 16), g)
+			run(b, New(m, 16), g)
 		})
 	}
 	b.Run("writer/batch", func(b *testing.B) {
-		c := NewSharded(m, 16)
+		c := New(m, 16)
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {

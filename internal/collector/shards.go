@@ -7,13 +7,13 @@ import (
 	"unsafe"
 )
 
-// shardSet is the cache-line-padded striped counter core shared by
-// ShardedCollector (dense reports, width = category count) and
-// SketchCollector (sketch reports, width = k·m report space): a power-of-two
-// set of shards, each a row of atomic counters plus the mutex that makes
-// batch-style writes atomic with respect to queries. Goroutines map onto
-// shards by stack address, so a steady ingester keeps hitting the same shard
-// and never bounces a foreign cache line.
+// shardSet is the cache-line-padded striped counter core of a Collector,
+// width = the scheme's report space (the category count for a dense matrix,
+// k·m for a sketch): a power-of-two set of shards, each a row of atomic
+// counters plus the mutex that makes batch-style writes atomic with respect
+// to queries. Goroutines map onto shards by stack address, so a steady
+// ingester keeps hitting the same shard and never bounces a foreign cache
+// line.
 type shardSet struct {
 	width  int
 	shards []shard

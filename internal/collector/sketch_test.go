@@ -42,7 +42,7 @@ func sketchReports(t testing.TB, s *sketch.CMSScheme, total int, seed uint64) []
 
 func TestSketchCollectorIngestAndCount(t *testing.T) {
 	s := testCMS(t, 10000, 8, 64)
-	c := NewSketch(s, 4)
+	c := New(s, 4)
 	if c.Categories() != 10000 || c.ReportSpace() != 8*64 {
 		t.Fatalf("Categories/ReportSpace = %d/%d", c.Categories(), c.ReportSpace())
 	}
@@ -72,7 +72,7 @@ func TestSketchCollectorIngestAndCount(t *testing.T) {
 }
 
 func TestSketchCollectorRejectsBadReports(t *testing.T) {
-	c := NewSketch(testCMS(t, 1000, 4, 16), 2)
+	c := New(testCMS(t, 1000, 4, 16), 2)
 	if err := c.Ingest(-1); !errors.Is(err, ErrBadReport) {
 		t.Fatalf("Ingest(-1) err = %v, want ErrBadReport", err)
 	}
@@ -88,7 +88,7 @@ func TestSketchCollectorRejectsBadReports(t *testing.T) {
 }
 
 func TestSketchCollectorEmptyQueries(t *testing.T) {
-	c := NewSketch(testCMS(t, 1000, 4, 16), 2)
+	c := New(testCMS(t, 1000, 4, 16), 2)
 	if _, err := c.Estimate(0); !errors.Is(err, ErrNoReports) {
 		t.Fatalf("Estimate on empty err = %v, want ErrNoReports", err)
 	}
@@ -99,7 +99,7 @@ func TestSketchCollectorEmptyQueries(t *testing.T) {
 
 func TestSketchCollectorEstimateAndHeavyHitters(t *testing.T) {
 	s := testCMS(t, 10000, 16, 128)
-	c := NewSketch(s, 4)
+	c := New(s, 4)
 	if err := c.IngestBatch(sketchReports(t, s, 200000, 7)); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSketchCollectorEstimateAndHeavyHitters(t *testing.T) {
 
 func TestSketchCollectorMerge(t *testing.T) {
 	s := testCMS(t, 1000, 4, 16)
-	a, b := NewSketch(s, 2), NewSketch(s, 2)
+	a, b := New(s, 2), New(s, 2)
 	ra := sketchReports(t, s, 3000, 1)
 	rb := sketchReports(t, s, 2000, 2)
 	if err := a.IngestBatch(ra); err != nil {
@@ -165,14 +165,14 @@ func TestSketchCollectorMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Merge(NewSketch(other, 2)); err == nil {
+	if err := a.Merge(New(other, 2)); err == nil {
 		t.Fatal("merge across different schemes accepted")
 	}
 }
 
 func TestSketchCollectorSnapshotRoundTrip(t *testing.T) {
 	s := testCMS(t, 10000, 8, 64)
-	c := NewSketch(s, 4)
+	c := New(s, 4)
 	if err := c.IngestBatch(sketchReports(t, s, 50000, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSketchCollectorSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := RestoreSketch(data, 8)
+	back, err := Restore(data, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSketchCollectorSnapshotRoundTrip(t *testing.T) {
 
 func TestSketchCollectorRestoreRejectsCorrupt(t *testing.T) {
 	s := testCMS(t, 1000, 4, 16)
-	c := NewSketch(s, 2)
+	c := New(s, 2)
 	if err := c.IngestBatch(sketchReports(t, s, 100, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSketchCollectorRestoreRejectsCorrupt(t *testing.T) {
 		"total mangled": corrupt(t, good, `"total":100`, `"total":101`),
 	}
 	for name, data := range cases {
-		if _, err := RestoreSketch(data, 2); !errors.Is(err, ErrBadSnapshot) {
+		if _, err := Restore(data, 2); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
 		}
 	}
@@ -259,7 +259,7 @@ func replaceFirst(s, old, new string) string {
 // hold under -race at any -cpu.
 func TestSketchCollectorConcurrentIngest(t *testing.T) {
 	s := testCMS(t, 10000, 8, 64)
-	c := NewSketch(s, 8)
+	c := New(s, 8)
 	c.Instrument(nil, obs.NewRegistry())
 	const (
 		workers    = 8
@@ -267,7 +267,7 @@ func TestSketchCollectorConcurrentIngest(t *testing.T) {
 		batchSize  = 100
 		mergeCount = 500
 	)
-	side := NewSketch(s, 2)
+	side := New(s, 2)
 	if err := side.IngestBatch(sketchReports(t, s, mergeCount, 99)); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestSketchCollectorConcurrentIngest(t *testing.T) {
 func TestSketchCollectorShardedMatchesSerial(t *testing.T) {
 	s := testCMS(t, 5000, 8, 32)
 	reports := sketchReports(t, s, 30000, 4)
-	c := NewSketch(s, 8)
+	c := New(s, 8)
 	serial := make([]int, s.ReportSpace())
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
@@ -344,7 +344,7 @@ func TestSketchCollectorShardedMatchesSerial(t *testing.T) {
 
 func BenchmarkSketchIngest(b *testing.B) {
 	s := testCMS(b, 100000, 16, 256)
-	c := NewSketch(s, 0)
+	c := New(s, 0)
 	reports := sketchReports(b, s, 8192, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -361,7 +361,7 @@ func BenchmarkSketchIngest(b *testing.B) {
 
 func BenchmarkHeavyHitters(b *testing.B) {
 	s := testCMS(b, 100000, 16, 256)
-	c := NewSketch(s, 0)
+	c := New(s, 0)
 	if err := c.IngestBatch(sketchReports(b, s, 100000, 1)); err != nil {
 		b.Fatal(err)
 	}
@@ -371,5 +371,37 @@ func BenchmarkHeavyHitters(b *testing.B) {
 		if _, err := c.HeavyHitters(0.05, 10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSketchCollectorSnapshotBounds: a sketch Snapshot states the scheme's
+// own EstimateWithBound half-widths over the same fold, carries no dense
+// disguised distribution, and margin projection is refused.
+func TestSketchCollectorSnapshotBounds(t *testing.T) {
+	s := testCMS(t, 2000, 8, 32)
+	c := New(s, 4)
+	if err := c.IngestBatch(sketchReports(t, s, 20000, 5)); err != nil {
+		t.Fatal(err)
+	}
+	cats := []int{0, 3, 1999}
+	sum, err := c.Snapshot(2.58, cats...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests, half, err := s.EstimateWithBound(c.Counts(), cats, 2.58, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cats {
+		if sum.Estimate[i] != ests[i] || sum.HalfWidth[i] != half[i] {
+			t.Fatalf("category %d: snapshot %v ± %v, scheme %v ± %v",
+				cats[i], sum.Estimate[i], sum.HalfWidth[i], ests[i], half[i])
+		}
+	}
+	if sum.Reports != 20000 || sum.Disguised != nil {
+		t.Fatalf("snapshot header: reports %d, disguised %v", sum.Reports, sum.Disguised)
+	}
+	if _, err := c.ReportsForMargin(0.01, 1.96); err == nil {
+		t.Fatal("margin projection accepted for a sketch")
 	}
 }

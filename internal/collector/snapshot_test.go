@@ -12,7 +12,7 @@ import (
 // TestSnapshotCarriesTotal: the crash-recovery wire form records the total
 // redundantly so a mangled counts array is detectable.
 func TestSnapshotCarriesTotal(t *testing.T) {
-	c := NewSharded(mustWarner(t, 3, 0.8), 2)
+	c := New(mustWarner(t, 3, 0.8), 2)
 	for i := 0; i < 30; i++ {
 		if err := c.Ingest(i % 3); err != nil {
 			t.Fatal(err)
@@ -25,7 +25,7 @@ func TestSnapshotCarriesTotal(t *testing.T) {
 	if !strings.Contains(string(data), `"total":30`) {
 		t.Fatalf("snapshot missing total: %s", data)
 	}
-	restored, err := RestoreSharded(data, 4)
+	restored, err := Restore(data, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSnapshotCarriesTotal(t *testing.T) {
 // counts — is rejected with the typed ErrBadSnapshot instead of silently
 // poisoning every subsequent Estimate.
 func TestRestoreShardedRejectsCorruptSnapshots(t *testing.T) {
-	c := NewSharded(mustWarner(t, 3, 0.8), 2)
+	c := New(mustWarner(t, 3, 0.8), 2)
 	rng := randx.New(5)
 	for i := 0; i < 300; i++ {
 		if err := c.Ingest(rng.Intn(3)); err != nil {
@@ -70,7 +70,7 @@ func TestRestoreShardedRejectsCorruptSnapshots(t *testing.T) {
 			// "counts mangled" keeps the declared shape only for n=2 inputs;
 			// for the marshalled n=3 snapshot it both breaks the shape and
 			// the total — either way it must be ErrBadSnapshot.
-			if _, err := RestoreSharded([]byte(tc.data), 2); !errors.Is(err, ErrBadSnapshot) {
+			if _, err := Restore([]byte(tc.data), 2); !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("err = %v, want ErrBadSnapshot", err)
 			}
 		})
@@ -79,7 +79,7 @@ func TestRestoreShardedRejectsCorruptSnapshots(t *testing.T) {
 	// Legacy snapshots (written before the total field existed) still
 	// restore: the check is opt-in on presence.
 	legacy := `{"matrix":{"categories":2,"columns":[[0.8,0.2],[0.2,0.8]]},"counts":[4,6]}`
-	restored, err := RestoreSharded([]byte(legacy), 2)
+	restored, err := Restore([]byte(legacy), 2)
 	if err != nil {
 		t.Fatalf("legacy snapshot rejected: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestRestoreShardedRejectsCorruptSnapshots(t *testing.T) {
 // the buffer, further ingestion is refused with ErrWriterClosed (and does
 // not touch the buffer or the collector), and Close/Flush are idempotent.
 func TestWriterCloseLifecycle(t *testing.T) {
-	c := NewSharded(mustWarner(t, 3, 0.8), 2)
+	c := New(mustWarner(t, 3, 0.8), 2)
 	w := c.NewWriter(1000)
 	for i := 0; i < 7; i++ {
 		if err := w.Ingest(i % 3); err != nil {

@@ -2,8 +2,8 @@ package collector
 
 import "fmt"
 
-// Writer is a per-goroutine ingestion front for a ShardedCollector: reports
-// accumulate in a goroutine-local per-category buffer and flush to the
+// Writer is a per-goroutine ingestion front for a Collector: reports
+// accumulate in a goroutine-local per-report buffer and flush to the
 // collector's shards in batches, so a high-rate ingester pays one shard
 // mutex acquisition per flushEvery reports instead of one shared-memory
 // write per report. Each Writer is pinned to one shard at construction
@@ -24,9 +24,9 @@ import "fmt"
 // error the buffer is left intact (nothing dropped, nothing double-counted)
 // and the flush can simply be retried.
 type Writer struct {
-	c       *ShardedCollector
+	c       *Collector
 	sh      *shard
-	pending []int // per-category buffered counts
+	pending []int // per-report buffered counts
 	n       int   // buffered reports
 	limit   int   // flush threshold
 	closed  bool
@@ -35,7 +35,7 @@ type Writer struct {
 // NewWriter returns a buffered writer pinned to the next shard in
 // round-robin order. flushEvery <= 0 picks a default of 256 reports per
 // flush.
-func (c *ShardedCollector) NewWriter(flushEvery int) *Writer {
+func (c *Collector) NewWriter(flushEvery int) *Writer {
 	if flushEvery <= 0 {
 		flushEvery = 256
 	}
@@ -43,7 +43,7 @@ func (c *ShardedCollector) NewWriter(flushEvery int) *Writer {
 	return &Writer{
 		c:       c,
 		sh:      &c.set.shards[idx],
-		pending: make([]int, c.m.N()),
+		pending: make([]int, c.set.width),
 		limit:   flushEvery,
 	}
 }
@@ -60,7 +60,7 @@ func (w *Writer) Ingest(report int) error {
 			return ErrWriterClosed
 		}
 		w.c.ins.observeBad()
-		return fmt.Errorf("%w: %d of %d categories", ErrBadReport, report, len(w.pending))
+		return fmt.Errorf("%w: %d of report space %d", ErrBadReport, report, len(w.pending))
 	}
 	w.pending[report]++
 	w.n++

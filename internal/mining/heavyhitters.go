@@ -8,21 +8,41 @@ import (
 // Heavy-hitter discovery: finding the frequent categories of a huge domain
 // from privately collected reports, the mining task that motivates
 // decoupling domain size from matrix size. The discovery runs against any
-// FrequencyEstimator — in practice the sketch collector, whose point queries
-// are O(hashes) per category regardless of how many reports were ingested —
-// and scans the domain in bounded chunks, so the working set never holds a
-// full domain-sized estimate vector unless the caller asks for one.
+// FrequencyEstimator and scans the domain in bounded chunks, so the working
+// set never holds a full domain-sized estimate vector unless the estimator
+// already is one (Frequencies).
 
 // FrequencyEstimator answers debiased point queries over an original
-// categorical domain. collector.SketchCollector implements it; any source of
-// per-category frequency estimates (a remote /v1/estimate endpoint, a test
-// fake) can stand in.
+// categorical domain. collector.Collector implements it (every call folds
+// and debiases afresh); Frequencies serves an already-debiased vector; any
+// source of per-category frequency estimates (a remote /v1/estimate
+// endpoint, a test fake) can stand in.
 type FrequencyEstimator interface {
 	// Categories returns the domain size.
 	Categories() int
 	// Estimate returns debiased frequency estimates for the requested
 	// categories, in order.
 	Estimate(categories ...int) ([]float64, error)
+}
+
+// Frequencies is a FrequencyEstimator over an already-debiased full-domain
+// frequency vector. Scanning it costs one debias in total, where scanning a
+// live collector debiases once per chunk.
+type Frequencies []float64
+
+// Categories returns the domain size.
+func (f Frequencies) Categories() int { return len(f) }
+
+// Estimate returns a copy of the requested categories' frequencies.
+func (f Frequencies) Estimate(categories ...int) ([]float64, error) {
+	out := make([]float64, len(categories))
+	for i, x := range categories {
+		if x < 0 || x >= len(f) {
+			return nil, fmt.Errorf("mining: category %d outside the %d-category domain", x, len(f))
+		}
+		out[i] = f[x]
+	}
+	return out, nil
 }
 
 // Frequent is one discovered heavy hitter: a category index and its

@@ -65,11 +65,15 @@ func FromColumns(cols [][]float64) (*Matrix, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("%w: no columns", ErrShape)
 	}
-	d := matrix.New(n, n)
+	// Check every column before allocating n×n: a decoded file with many
+	// empty columns must not cost n² memory to reject.
 	for i, col := range cols {
 		if len(col) != n {
 			return nil, fmt.Errorf("%w: column %d has %d entries, want %d", ErrShape, i, len(col), n)
 		}
+	}
+	d := matrix.New(n, n)
+	for i, col := range cols {
 		d.SetCol(i, col)
 	}
 	return FromDense(d)

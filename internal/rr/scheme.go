@@ -137,8 +137,15 @@ func SchemeVersion(s Scheme) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8]), nil
+	return EnvelopeVersion(data), nil
+}
+
+// EnvelopeVersion is the SchemeVersion of an envelope MarshalScheme
+// produced, for callers that already hold the envelope: marshalling a large
+// scheme twice costs more than hashing it.
+func EnvelopeVersion(env []byte) string {
+	sum := sha256.Sum256(env)
+	return hex.EncodeToString(sum[:8])
 }
 
 func init() {

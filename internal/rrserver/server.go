@@ -1,9 +1,9 @@
 // Package rrserver implements the LDP collection service behind cmd/rrserver:
-// an HTTP/JSON front over a sharded collector, realizing the paper's
+// an HTTP/JSON front over one collector.Collector, realizing the paper's
 // Section I deployment literally — a fleet of respondents disguises locally
-// (internal/rrclient) and POSTs only disguised category indices; this server
-// aggregates them and inverts the disguise matrix on demand to answer
-// distribution queries with confidence half-widths.
+// (internal/rrclient) and POSTs only disguised reports; this server
+// aggregates them and debiases on demand to answer distribution queries
+// with confidence half-widths.
 //
 // Endpoints (mounted on an obs debug server via obs.ServeMux, so /metrics,
 // /healthz, expvar and pprof ride along):
@@ -11,29 +11,22 @@
 //	POST /v1/report       {"report": k}        ingest one disguised report
 //	POST /v1/reports      {"reports": [k...]}  ingest a batch atomically
 //	GET  /v1/estimate     debiased estimate + confidence half-widths;
-//	                      ?z= overrides the quantile. Dense mode returns the
-//	                      full domain and supports ?margin= (projected report
-//	                      count to reach the target). Sketch mode answers
-//	                      point queries only: ?categories=3,17,42 is required
-//	                      and ?margin= is rejected.
+//	                      ?z= overrides the quantile, ?categories=3,17,42
+//	                      asks for point estimates, ?margin= projects the
+//	                      report count that reaches a target (dense
+//	                      matrices only)
 //	GET  /v1/scheme       the deployed disguise scheme (clients sample
 //	                      locally); ETagged with the scheme version, so
 //	                      If-None-Match polling is a 304 until redeployment
 //	GET  /v1/heavyhitters ?threshold= (required) frequency floor, ?limit=
 //	                      caps the result; scans the original domain
 //
-// The service is generic over rr.Scheme. A dense *rr.Matrix deployment
-// behaves exactly as before (full-domain estimates from a ShardedCollector);
-// a sketch scheme (internal/sketch) aggregates into the O(k·m)
-// SketchCollector, decoupling server memory from the domain size, and serves
-// point queries and heavy-hitter scans instead of dense reconstructions.
-//
-// The server periodically persists a JSON snapshot of the collection state
-// and restores it at boot; a corrupt or mismatched snapshot is rejected by
-// the typed validation in RestoreSharded/RestoreSketch (sketch snapshots
-// embed the scheme envelope, compared by wire fingerprint) and the server
-// falls back to a fresh collector with a logged warning rather than serving
-// poisoned estimates.
+// Every handler takes one path whatever the deployed rr.Scheme: the
+// collector debiases and bounds a dense *rr.Matrix with Theorem 6 and a
+// count-mean sketch (O(k·m) state) with its own bounds. When the domain is
+// larger than the report space, /v1/estimate requires ?categories=.
+// Ingest bodies are capped before decoding. The collection state is
+// persisted durably and restored at boot through one path (see recover).
 package rrserver
 
 import (
@@ -45,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -65,16 +57,16 @@ const DefaultZ = 1.96
 // bounds both memory per request and the longest write a query can wait on.
 const DefaultMaxBatch = 1 << 17
 
+// bodySlack is the room an ingest body gets beyond its reports, for the
+// JSON envelope and incidental whitespace.
+const bodySlack = 1 << 10
+
 // Config parameterizes a collection service.
 type Config struct {
-	// Scheme is the deployed disguise scheme: a dense *rr.Matrix for
-	// classic full-domain collection or a sketch scheme for large domains.
-	// When nil, Matrix is used.
+	// Scheme is the deployed disguise scheme (required): a dense
+	// *rr.Matrix for classic full-domain collection or a sketch scheme for
+	// large domains.
 	Scheme rr.Scheme
-	// Matrix is the deployed dense disguise matrix — the pre-Scheme form of
-	// the same knob, kept so existing callers compile unchanged. Ignored
-	// when Scheme is set. One of the two is required.
-	Matrix *rr.Matrix
 	// Shards is the collector shard count (<= 0 picks the GOMAXPROCS
 	// default).
 	Shards int
@@ -104,15 +96,14 @@ type Config struct {
 // persistence loop with Run.
 type Server struct {
 	cfg       Config
-	scheme    rr.Scheme
-	schemeEnv json.RawMessage             // kind-tagged envelope, marshaled once
-	version   string                      // rr.SchemeVersion fingerprint, doubles as the ETag
-	col       *collector.ShardedCollector // dense mode only
-	skcol     *collector.SketchCollector  // sketch mode only
-	ing       ingester                    // whichever of the two is live
+	schemeEnv json.RawMessage // kind-tagged envelope, marshaled once
+	version   string          // rr.SchemeVersion fingerprint, doubles as the ETag
+	col       *collector.Collector
 	rec       obs.Recorder
 	logf      func(string, ...any)
 	restored  bool
+	// reportWidth is the digit width of the largest report index.
+	reportWidth int64
 
 	ingestLat    *obs.Histogram // rrserver.ingest_ns: per-request ingest latency
 	httpErrs     *obs.Counter   // rrserver.http_errors
@@ -121,41 +112,11 @@ type Server struct {
 	snapshotSize *obs.Gauge     // rrserver.snapshot_bytes
 }
 
-// ingester is the slice of the collector surface the hot handlers need; both
-// ShardedCollector and SketchCollector satisfy it (and both marshal their
-// snapshot form through json.Marshal).
-type ingester interface {
-	Ingest(report int) error
-	IngestBatch(reports []int) error
-	Count() int
-}
-
-// boundedEstimator is the optional scheme capability of attaching
-// distribution-free confidence half-widths to sketch point queries
-// (implemented by sketch.CMSScheme). The server stays decoupled from the
-// sketch package; any scheme exposing the method gets half-widths on
-// /v1/estimate.
-type boundedEstimator interface {
-	EstimateWithBound(counts []int, categories []int, z, ell2 float64) ([]float64, []float64, error)
-}
-
 // New builds the service and, when cfg.SnapshotPath names an existing file,
-// attempts crash recovery. Recovery is strictly validated: a snapshot that
-// fails the collector's integrity checks, or whose scheme differs from the
-// deployed one (reports disguised under a different scheme would make the
-// debiasing meaningless), is abandoned with a logged warning and collection
-// starts fresh.
+// attempts crash recovery (see recover).
 func New(cfg Config) (*Server, error) {
 	if cfg.Scheme == nil {
-		if cfg.Matrix == nil {
-			return nil, fmt.Errorf("rrserver: config needs a disguise scheme")
-		}
-		cfg.Scheme = cfg.Matrix
-	}
-	if m, ok := cfg.Scheme.(*rr.Matrix); ok {
-		cfg.Matrix = m // keep the legacy field coherent for handleScheme
-	} else {
-		cfg.Matrix = nil
+		return nil, fmt.Errorf("rrserver: config needs a disguise scheme")
 	}
 	if cfg.Z == 0 {
 		cfg.Z = DefaultZ
@@ -176,15 +137,10 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rrserver: encoding deployed scheme: %w", err)
 	}
-	version, err := rr.SchemeVersion(cfg.Scheme)
-	if err != nil {
-		return nil, fmt.Errorf("rrserver: fingerprinting deployed scheme: %w", err)
-	}
 	s := &Server{
 		cfg:       cfg,
-		scheme:    cfg.Scheme,
 		schemeEnv: env,
-		version:   version,
+		version:   rr.EnvelopeVersion(env),
 		rec:       obs.OrNop(cfg.Recorder),
 		logf:      cfg.Logf,
 		ingestLat: cfg.Registry.Histogram("rrserver.ingest_ns",
@@ -193,36 +149,27 @@ func New(cfg Config) (*Server, error) {
 		snapshots:    cfg.Registry.Counter("rrserver.snapshots"),
 		snapshotErrs: cfg.Registry.Counter("rrserver.snapshot_errors"),
 		snapshotSize: cfg.Registry.Gauge("rrserver.snapshot_bytes"),
+		reportWidth:  int64(len(strconv.Itoa(cfg.Scheme.ReportSpace() - 1))),
 	}
 	if s.logf == nil {
 		s.logf = log.Printf
 	}
-	if cfg.Matrix != nil {
-		if cfg.SnapshotPath != "" {
-			s.col = s.recover(cfg.SnapshotPath)
-		}
-		if s.col == nil {
-			s.col = collector.NewSharded(cfg.Matrix, cfg.Shards)
-		}
-		s.col.Instrument(cfg.Recorder, cfg.Registry)
-		s.ing = s.col
-	} else {
-		if cfg.SnapshotPath != "" {
-			s.skcol = s.recoverSketch(cfg.SnapshotPath)
-		}
-		if s.skcol == nil {
-			s.skcol = collector.NewSketch(cfg.Scheme, cfg.Shards)
-		}
-		s.skcol.Instrument(cfg.Recorder, cfg.Registry)
-		s.ing = s.skcol
+	if cfg.SnapshotPath != "" {
+		s.col = s.recover(cfg.SnapshotPath)
 	}
+	if s.col == nil {
+		s.col = collector.New(cfg.Scheme, cfg.Shards)
+	}
+	s.col.Instrument(cfg.Recorder, cfg.Registry)
 	return s, nil
 }
 
-// recover tries to restore the collector from path, returning nil (start
-// fresh) on any rejection. Only a clean "file does not exist" is silent;
-// everything else is a warning an operator should see.
-func (s *Server) recover(path string) *collector.ShardedCollector {
+// recover restores the collector from path, or returns nil to start fresh.
+// Only a clean "file does not exist" is silent. A snapshot that fails
+// collector.Restore, or whose scheme version is not the deployed one, is
+// moved aside to <path>.rejected — the next persist would otherwise
+// overwrite the only copy of that campaign — with one logged warning.
+func (s *Server) recover(path string) *collector.Collector {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -230,80 +177,57 @@ func (s *Server) recover(path string) *collector.ShardedCollector {
 		}
 		return nil
 	}
-	col, err := collector.RestoreSharded(data, s.cfg.Shards)
-	if err != nil {
-		s.logf("rrserver: snapshot %s rejected (%v); starting fresh", path, err)
-		return nil
+	var version string
+	col, err := collector.Restore(data, s.cfg.Shards)
+	if err == nil {
+		version, err = rr.SchemeVersion(col.Scheme())
 	}
-	if got, want := col.Categories(), s.cfg.Matrix.N(); got != want {
-		s.logf("rrserver: snapshot %s has %d categories, deployed scheme has %d; starting fresh", path, got, want)
-		return nil
+	switch {
+	case err != nil:
+		s.logf("rrserver: snapshot %s rejected (%v); %s; starting fresh", path, err, setAside(path))
+	case version != s.version:
+		s.logf("rrserver: snapshot %s was collected under a different scheme (version %s, deployed %s: a different disguise matrix or hash family); %s; starting fresh",
+			path, version, s.version, setAside(path))
+	default:
+		s.restored = true
+		s.logf("rrserver: restored %d reports from %s", col.Count(), path)
+		return col
 	}
-	// Rebuild on the deployed matrix and fold the snapshot's counts in via
-	// Merge, which re-checks the matrix entry by entry: a snapshot collected
-	// under a different (same-sized) scheme is rejected here — its reports
-	// were disguised with other probabilities and would bias every estimate.
-	fresh := collector.NewSharded(s.cfg.Matrix, s.cfg.Shards)
-	if err := fresh.Merge(col); err != nil {
-		s.logf("rrserver: snapshot %s was collected under a different disguise matrix (%v); starting fresh", path, err)
-		return nil
-	}
-	s.restored = true
-	s.logf("rrserver: restored %d reports from %s", fresh.Count(), path)
-	return fresh
+	return nil
 }
 
-// recoverSketch is recover for sketch mode: RestoreSketch validates counts
-// and scheme envelope; Merge onto the deployed scheme re-checks the wire
-// fingerprint, so a snapshot collected under a different hash family or
-// inner matrix is refused.
-func (s *Server) recoverSketch(path string) *collector.SketchCollector {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.logf("rrserver: reading snapshot %s: %v; starting fresh", path, err)
-		}
-		return nil
+// setAside moves a rejected snapshot to path + ".rejected" and says where
+// it went, for the rejection warning.
+func setAside(path string) string {
+	aside := path + ".rejected"
+	if err := os.Rename(path, aside); err != nil {
+		return fmt.Sprintf("could not move it aside (%v)", err)
 	}
-	col, err := collector.RestoreSketch(data, s.cfg.Shards)
-	if err != nil {
-		s.logf("rrserver: snapshot %s rejected (%v); starting fresh", path, err)
-		return nil
-	}
-	fresh := collector.NewSketch(s.scheme, s.cfg.Shards)
-	if err := fresh.Merge(col); err != nil {
-		s.logf("rrserver: snapshot %s was collected under a different scheme (%v); starting fresh", path, err)
-		return nil
-	}
-	s.restored = true
-	s.logf("rrserver: restored %d reports from %s", fresh.Count(), path)
-	return fresh
+	return "moved it to " + aside
 }
 
 // Restored reports whether construction recovered state from a snapshot.
 func (s *Server) Restored() bool { return s.restored }
 
-// Collector exposes the underlying sharded collector (e.g. for tests and
-// the in-process load driver). It is nil for a sketch deployment; see
-// SketchCollector.
-func (s *Server) Collector() *collector.ShardedCollector { return s.col }
+// Collector exposes the underlying collector (e.g. for tests and the
+// in-process load driver).
+func (s *Server) Collector() *collector.Collector { return s.col }
 
-// SketchCollector exposes the underlying sketch collector; nil for a dense
-// deployment.
-func (s *Server) SketchCollector() *collector.SketchCollector { return s.skcol }
+// Deprecated: use Collector; kept only because perfbench, pinned with the benchmark, calls it.
+func (s *Server) SketchCollector() *collector.Collector { return s.col }
 
 // Scheme returns the deployed disguise scheme.
-func (s *Server) Scheme() rr.Scheme { return s.scheme }
+func (s *Server) Scheme() rr.Scheme { return s.cfg.Scheme }
 
 // SchemeVersion returns the deployed scheme's wire fingerprint — the value
 // GET /v1/scheme serves as its ETag.
 func (s *Server) SchemeVersion() string { return s.version }
 
-// Count returns the number of reports ingested so far, in either mode.
-func (s *Server) Count() int { return s.ing.Count() }
+// Count returns the number of reports ingested so far.
+func (s *Server) Count() int { return s.col.Count() }
 
 // Categories returns the original-domain size of the deployed scheme.
-func (s *Server) Categories() int { return s.scheme.Domain() }
+func (s *Server) Categories() int { return s.cfg.Scheme.Domain() }
 
 // Z returns the configured confidence quantile.
 func (s *Server) Z() float64 { return s.cfg.Z }
@@ -343,46 +267,27 @@ func (s *Server) Run(ctx context.Context) error {
 	}
 }
 
-// SnapshotNow persists the collection state to cfg.SnapshotPath, atomically
-// (write temp file, rename into place) so a crash mid-write never corrupts
-// the previous good snapshot.
+// SnapshotNow persists the collection state to cfg.SnapshotPath (see
+// writeDurably), so a crash at any point leaves the previous good snapshot
+// or the new one, never a torn or vanished file.
 func (s *Server) SnapshotNow() error {
 	if s.cfg.SnapshotPath == "" {
 		return nil
 	}
 	start := time.Now()
-	data, err := json.Marshal(s.ing)
+	data, err := json.Marshal(s.col)
+	if err == nil {
+		err = writeDurably(s.cfg.SnapshotPath, data)
+	}
 	if err != nil {
 		s.snapshotErrs.Inc()
-		return fmt.Errorf("rrserver: marshaling snapshot: %w", err)
-	}
-	dir := filepath.Dir(s.cfg.SnapshotPath)
-	tmp, err := os.CreateTemp(dir, ".rrserver-snapshot-*")
-	if err != nil {
-		s.snapshotErrs.Inc()
-		return fmt.Errorf("rrserver: snapshot temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.snapshotErrs.Inc()
-		return fmt.Errorf("rrserver: writing snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.snapshotErrs.Inc()
-		return fmt.Errorf("rrserver: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.cfg.SnapshotPath); err != nil {
-		os.Remove(tmp.Name())
-		s.snapshotErrs.Inc()
-		return fmt.Errorf("rrserver: installing snapshot: %w", err)
+		return fmt.Errorf("rrserver: snapshot: %w", err)
 	}
 	s.snapshots.Inc()
 	s.snapshotSize.Set(float64(len(data)))
 	if s.rec.Enabled() {
 		s.rec.Record("rrserver.snapshot", obs.Fields{
-			"reports": s.ing.Count(),
+			"reports": s.col.Count(),
 			"bytes":   len(data),
 			"ms":      float64(time.Since(start).Microseconds()) / 1e3,
 		})
@@ -390,15 +295,61 @@ func (s *Server) SnapshotNow() error {
 	return nil
 }
 
+// writeDurably replaces path with data: write a temp file in the same
+// directory, fsync it, rename it into place, then fsync the directory so
+// the rename itself survives a power loss.
+func writeDurably(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".rrserver-snapshot-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // a no-op once the rename succeeded
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// decodeBody decodes a JSON ingest body capped at limit bytes, answering
+// 413 when the cap is hit and 400 for any other decode failure.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, code, fmt.Errorf("decoding body: %v", err))
+	return false
+}
+
 // handleReport ingests one disguised report.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req rrapi.ReportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %v", err))
+	if !s.decodeBody(w, r, bodySlack+s.reportWidth, &req) {
 		return
 	}
-	if err := s.ing.Ingest(req.Report); err != nil {
+	if err := s.col.Ingest(req.Report); err != nil {
 		s.writeError(w, statusFor(err), err)
 		return
 	}
@@ -406,12 +357,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, rrapi.IngestResponse{Accepted: 1})
 }
 
-// handleBatch ingests a batch of disguised reports atomically.
+// handleBatch ingests a batch of disguised reports atomically. The body cap
+// gives each of MaxBatch reports its digits plus a comma and a space.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req rrapi.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %v", err))
+	if !s.decodeBody(w, r, bodySlack+int64(s.cfg.MaxBatch)*(s.reportWidth+2), &req) {
 		return
 	}
 	if len(req.Reports) > s.cfg.MaxBatch {
@@ -420,7 +371,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Reports) > 0 {
-		if err := s.ing.IngestBatch(req.Reports); err != nil {
+		if err := s.col.IngestBatch(req.Reports); err != nil {
 			s.writeError(w, statusFor(err), err)
 			return
 		}
@@ -430,14 +381,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEstimate serves the current reconstruction with confidence
-// half-widths; ?z= overrides the quantile. Dense mode returns the full
-// domain and supports ?margin= (projected report count needed to shrink the
-// worst half-width to the target); sketch mode answers ?categories= point
-// queries only — a full-domain response over a million-category sketch would
-// be exactly the dense payload the sketch exists to avoid.
+// half-widths (?z=, ?categories=, ?margin=; see the package comment). When
+// the domain is larger than the report space ?categories= is required: a
+// full-domain response over a million-category sketch would be exactly the
+// dense payload the sketch exists to avoid.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
 	z := s.cfg.Z
-	if raw := r.URL.Query().Get("z"); raw != "" {
+	if raw := q.Get("z"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad z %q: %v", raw, err))
@@ -445,28 +396,38 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		z = v
 	}
-	if s.skcol != nil {
-		s.handleSketchEstimate(w, r, z)
+	var cats []int
+	if raw := q.Get("categories"); raw != "" {
+		var err error
+		if cats, err = parseCategories(raw, s.cfg.Scheme.Domain()); err != nil {
+			s.writeError(w, http.StatusBadRequest, err)
+			return
+		}
+	} else if s.cfg.Scheme.Domain() > s.cfg.Scheme.ReportSpace() {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf(
+			"the %d-category domain exceeds the %d-report space, so estimates are point queries: pass ?categories=i,j,... or use /v1/heavyhitters",
+			s.cfg.Scheme.Domain(), s.cfg.Scheme.ReportSpace()))
 		return
 	}
-	sum, err := s.col.Snapshot(z)
+	sum, err := s.col.Snapshot(z, cats...)
 	if err != nil {
 		s.writeError(w, statusFor(err), err)
 		return
 	}
 	resp := rrapi.EstimateResponse{
-		Reports:   sum.Reports,
-		Disguised: sum.Disguised,
-		Estimate:  sum.Estimate,
-		HalfWidth: sum.HalfWidth,
-		Z:         sum.Z,
+		Reports:    sum.Reports,
+		Disguised:  sum.Disguised,
+		Estimate:   sum.Estimate,
+		HalfWidth:  sum.HalfWidth,
+		Z:          sum.Z,
+		Categories: cats,
 	}
 	for _, h := range sum.HalfWidth {
 		if h > resp.Margin {
 			resp.Margin = h
 		}
 	}
-	if raw := r.URL.Query().Get("margin"); raw != "" {
+	if raw := q.Get("margin"); raw != "" {
 		target, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad margin %q: %v", raw, err))
@@ -478,60 +439,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.ReportsForMargin = need
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleSketchEstimate answers point queries over the sketch: debiased
-// frequency estimates for the requested categories, with distribution-free
-// half-widths when the scheme can provide them (boundedEstimator, at the
-// worst-case ℓ² mass of 1).
-func (s *Server) handleSketchEstimate(w http.ResponseWriter, r *http.Request, z float64) {
-	if r.URL.Query().Get("margin") != "" {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("margin projection is not supported for sketch schemes"))
-		return
-	}
-	rawCats := r.URL.Query().Get("categories")
-	if rawCats == "" {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sketch estimates are point queries: pass ?categories=i,j,... or use /v1/heavyhitters"))
-		return
-	}
-	cats, err := parseCategories(rawCats, s.scheme.Domain())
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	counts := s.skcol.Counts()
-	total := 0
-	for _, v := range counts {
-		total += v
-	}
-	if total == 0 {
-		s.writeError(w, statusFor(collector.ErrNoReports), collector.ErrNoReports)
-		return
-	}
-	resp := rrapi.EstimateResponse{Reports: total, Categories: cats, Z: z}
-	if be, ok := s.scheme.(boundedEstimator); ok {
-		ests, bounds, err := be.EstimateWithBound(counts, cats, z, 1)
-		if err != nil {
-			s.writeError(w, statusFor(err), err)
-			return
-		}
-		resp.Estimate, resp.HalfWidth = ests, bounds
-		for _, h := range bounds {
-			if h > resp.Margin {
-				resp.Margin = h
-			}
-		}
-	} else {
-		ests, err := s.scheme.EstimateFrom(counts, cats)
-		if err != nil {
-			s.writeError(w, statusFor(err), err)
-			return
-		}
-		resp.Estimate = ests
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -561,11 +468,12 @@ func parseCategories(raw string, domain int) ([]int, error) {
 	return cats, nil
 }
 
-// handleHeavyHitters scans the original domain for categories whose debiased
-// frequency estimate clears ?threshold=, sorted by estimate descending;
-// ?limit= caps the result. Works in both modes — over the sketch it is the
-// paper-motivating query (frequent categories without a dense reconstruction);
-// over the dense collector it filters the clipped full-domain estimate.
+// handleHeavyHitters scans the original domain for categories whose
+// reconstructed frequency clears ?threshold=, sorted by estimate descending
+// (ties by category index); ?limit= caps the result. Over a sketch it is the
+// paper-motivating query (frequent categories without a dense
+// reconstruction); over a dense matrix it ranks the clipped full-domain
+// estimate /v1/estimate serves.
 func (s *Server) handleHeavyHitters(w http.ResponseWriter, r *http.Request) {
 	rawThr := r.URL.Query().Get("threshold")
 	if rawThr == "" {
@@ -585,39 +493,18 @@ func (s *Server) handleHeavyHitters(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp := rrapi.HeavyHittersResponse{Threshold: threshold}
-	if s.skcol != nil {
-		hits, err := s.skcol.HeavyHitters(threshold, limit)
-		if err != nil {
-			s.writeError(w, statusFor(err), err)
-			return
-		}
-		resp.Reports = s.skcol.Count()
-		resp.Hits = make([]rrapi.HeavyHitter, len(hits))
-		for i, h := range hits {
-			resp.Hits[i] = rrapi.HeavyHitter{Category: h.Category, Estimate: h.Estimate}
-		}
-	} else {
-		sum, err := s.col.Snapshot(s.cfg.Z)
-		if err != nil {
-			s.writeError(w, statusFor(err), err)
-			return
-		}
-		resp.Reports = sum.Reports
-		for x, e := range sum.Estimate {
-			if e >= threshold {
-				resp.Hits = append(resp.Hits, rrapi.HeavyHitter{Category: x, Estimate: e})
-			}
-		}
-		sort.Slice(resp.Hits, func(i, j int) bool {
-			if resp.Hits[i].Estimate != resp.Hits[j].Estimate {
-				return resp.Hits[i].Estimate > resp.Hits[j].Estimate
-			}
-			return resp.Hits[i].Category < resp.Hits[j].Category
-		})
-		if limit > 0 && len(resp.Hits) > limit {
-			resp.Hits = resp.Hits[:limit]
-		}
+	hits, err := s.col.HeavyHitters(threshold, limit)
+	if err != nil {
+		s.writeError(w, statusFor(err), err)
+		return
+	}
+	resp := rrapi.HeavyHittersResponse{
+		Reports:   s.col.Count(),
+		Threshold: threshold,
+		Hits:      make([]rrapi.HeavyHitter, len(hits)),
+	}
+	for i, h := range hits {
+		resp.Hits[i] = rrapi.HeavyHitter{Category: h.Category, Estimate: h.Estimate}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -634,11 +521,12 @@ func (s *Server) handleScheme(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	dense, _ := s.cfg.Scheme.(*rr.Matrix)
 	s.writeJSON(w, http.StatusOK, rrapi.SchemeResponse{
-		Kind:    s.scheme.Kind(),
+		Kind:    s.cfg.Scheme.Kind(),
 		Scheme:  s.schemeEnv,
 		Version: s.version,
-		Matrix:  s.cfg.Matrix,
+		Matrix:  dense,
 		Z:       s.cfg.Z,
 	})
 }

@@ -61,7 +61,7 @@ func TestServerEndToEnd(t *testing.T) {
 	// check holds with headroom; the default 1.96 leaves ~23% odds that
 	// some category strays outside its own interval.
 	const z = 3.29
-	srv, _, base := startService(t, Config{Matrix: m, Registry: reg, Z: z})
+	srv, _, base := startService(t, Config{Scheme: m, Registry: reg, Z: z})
 
 	prior := []float64{0.35, 0.25, 0.2, 0.15, 0.05}
 	alias, err := randx.NewAlias(prior)
@@ -130,7 +130,7 @@ func TestServerEndToEnd(t *testing.T) {
 // before any ingestion is 409, a bad margin target is 400, and a wrong
 // method is 405.
 func TestServerErrorPaths(t *testing.T) {
-	srv, _, base := startService(t, Config{Matrix: mustWarner(t, 3, 0.8)})
+	srv, _, base := startService(t, Config{Scheme: mustWarner(t, 3, 0.8)})
 
 	post := func(path, body string) (int, string) {
 		t.Helper()
@@ -184,7 +184,7 @@ func TestServerErrorPaths(t *testing.T) {
 		t.Fatalf("GET on ingest route: %d, want 405", code)
 	}
 	// Oversized batch is refused before touching the collector.
-	srv2, _, base2 := startService(t, Config{Matrix: mustWarner(t, 3, 0.8), MaxBatch: 2})
+	srv2, _, base2 := startService(t, Config{Scheme: mustWarner(t, 3, 0.8), MaxBatch: 2})
 	resp, err := http.Post(base2+"/v1/reports", "application/json", strings.NewReader(`{"reports": [0, 1, 2]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 	m := mustWarner(t, 4, 0.7)
 	path := filepath.Join(t.TempDir(), "state.json")
 
-	srv1, err := New(Config{Matrix: m, SnapshotPath: path, Logf: t.Logf})
+	srv1, err := New(Config{Scheme: m, SnapshotPath: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 	wantCounts := srv1.Collector().Counts()
 
 	// Boot 2: same snapshot, nothing lost, bit-identical counts.
-	srv2, err := New(Config{Matrix: m, SnapshotPath: path, Logf: t.Logf})
+	srv2, err := New(Config{Scheme: m, SnapshotPath: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
-	srv3, err := New(Config{Matrix: m, SnapshotPath: path, Logf: logf})
+	srv3, err := New(Config{Scheme: m, SnapshotPath: path, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 	}
 
 	// Snapshot taken under a different same-size scheme → fresh, warned.
-	other, err := New(Config{Matrix: mustWarner(t, 4, 0.9), SnapshotPath: path, Logf: t.Logf})
+	other, err := New(Config{Scheme: mustWarner(t, 4, 0.9), SnapshotPath: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	warnings = nil
-	srv4, err := New(Config{Matrix: m, SnapshotPath: path, Logf: logf})
+	srv4, err := New(Config{Scheme: m, SnapshotPath: path, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestServerDrainThenPersist(t *testing.T) {
 	m := mustWarner(t, 3, 0.8)
 	path := filepath.Join(t.TempDir(), "state.json")
 	srv, httpSrv, base := startService(t, Config{
-		Matrix: m, SnapshotPath: path, SnapshotEvery: time.Hour,
+		Scheme: m, SnapshotPath: path, SnapshotEvery: time.Hour,
 	})
 
 	snapCtx, snapCancel := context.WithCancel(context.Background())
@@ -336,7 +336,7 @@ func TestServerDrainThenPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, err := New(Config{Matrix: m, SnapshotPath: path, Logf: t.Logf})
+	recovered, err := New(Config{Scheme: m, SnapshotPath: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestLoadDriverMillionReports(t *testing.T) {
 	}
 	m := mustWarner(t, 10, 0.75)
 	path := filepath.Join(t.TempDir(), "state.json")
-	srv, httpSrv, base := startService(t, Config{Matrix: m, SnapshotPath: path})
+	srv, httpSrv, base := startService(t, Config{Scheme: m, SnapshotPath: path})
 
 	const reports = 1_000_000
 	res, err := LoadTest(context.Background(), LoadConfig{
@@ -388,7 +388,7 @@ func TestLoadDriverMillionReports(t *testing.T) {
 	}
 	want := srv.Collector().Counts()
 	httpSrv.Close()
-	recovered, err := New(Config{Matrix: m, SnapshotPath: path, Logf: t.Logf})
+	recovered, err := New(Config{Scheme: m, SnapshotPath: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestLoadDriverMillionReports(t *testing.T) {
 // p99-batch-ns for the pinned bench harness.
 func BenchmarkServerIngest(b *testing.B) {
 	m := mustWarner(b, 10, 0.75)
-	_, _, base := startService(b, Config{Matrix: m})
+	_, _, base := startService(b, Config{Scheme: m})
 	client := rrclient.New(base, rrclient.WithSeed(3))
 	values := randx.New(4)
 	ctx := context.Background()
@@ -434,5 +434,153 @@ func BenchmarkServerIngest(b *testing.B) {
 	if len(lats) > 0 {
 		sort.Float64s(lats)
 		b.ReportMetric(quantileNs(lats, 0.99), "p99-batch-ns")
+	}
+}
+
+// TestServerRejectsOversizedBody: ingest bodies are capped before decoding
+// (MaxBatch reports at the report space's digit width, plus a comma and a
+// space each, plus the envelope slack), and a body over the cap is 413 with
+// nothing ingested.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	srv, _, base := startService(t, Config{Scheme: mustWarner(t, 3, 0.8), MaxBatch: 4})
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	padding := strings.Repeat(" ", bodySlack+4*3+1)
+	if code := post("/v1/reports", `{"reports": [0, 1`+padding+`]}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch body: HTTP %d, want 413", code)
+	}
+	if code := post("/v1/report", `{"report": 1`+padding+`}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized report body: HTTP %d, want 413", code)
+	}
+	if got := srv.Collector().Count(); got != 0 {
+		t.Fatalf("oversized bodies left %d reports behind", got)
+	}
+	// A full MaxBatch batch in a client's ", "-separated encoding fits.
+	if code := post("/v1/reports", `{"reports": [2, 2, 2, 2]}`); code != http.StatusOK {
+		t.Fatalf("full batch: HTTP %d, want 200", code)
+	}
+	if got := srv.Collector().Count(); got != 4 {
+		t.Fatalf("count = %d after a full batch, want 4", got)
+	}
+}
+
+// TestServerKeepsRejectedSnapshot: a boot that rejects its snapshot —
+// corrupt, or collected under another scheme — moves the file aside to
+// <path>.rejected before starting fresh, so the next persist cannot
+// overwrite the only copy of that campaign.
+func TestServerKeepsRejectedSnapshot(t *testing.T) {
+	m := mustWarner(t, 4, 0.7)
+	other, err := New(Config{Scheme: mustWarner(t, 4, 0.9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Collector().IngestBatch([]int{0, 1, 2, 3, 3}); err != nil {
+		t.Fatal(err)
+	}
+	mismatched, err := json.Marshal(other.Collector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"corrupt":          []byte(`{"scheme": {"kind": "dense"`),
+		"different scheme": mismatched,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "state.json")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var warnings []string
+			srv, err := New(Config{Scheme: m, SnapshotPath: path, Logf: func(format string, args ...any) {
+				warnings = append(warnings, fmt.Sprintf(format, args...))
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if srv.Restored() || srv.Count() != 0 {
+				t.Fatal("rejected snapshot was adopted")
+			}
+			if len(warnings) != 1 || !strings.Contains(warnings[0], path+".rejected") {
+				t.Fatalf("want one warning naming %s.rejected, got %q", path, warnings)
+			}
+			if err := srv.Collector().Ingest(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			kept, err := os.ReadFile(path + ".rejected")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(kept) != string(data) {
+				t.Fatalf("rejected snapshot not kept intact: %q", kept)
+			}
+		})
+	}
+}
+
+// TestServerRestoresLegacyDenseSnapshot: a dense snapshot written before
+// the scheme envelope ({"matrix": …, "counts": …}, with or without a
+// total) still restores onto the same deployed matrix.
+func TestServerRestoresLegacyDenseSnapshot(t *testing.T) {
+	m := mustWarner(t, 3, 0.8)
+	matrixJSON, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tail := range map[string]string{"with total": `,"total":10}`, "without total": `}`} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "state.json")
+			legacy := `{"matrix":` + string(matrixJSON) + `,"counts":[5,3,2]` + tail
+			if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(Config{Scheme: m, SnapshotPath: path, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !srv.Restored() || srv.Count() != 10 {
+				t.Fatalf("legacy snapshot: restored=%v count=%d, want true/10", srv.Restored(), srv.Count())
+			}
+		})
+	}
+}
+
+// TestServerDensePointEstimate: ?categories= selects point estimates from
+// a dense deployment too, echoing the categories it answers for.
+func TestServerDensePointEstimate(t *testing.T) {
+	srv, _, base := startService(t, Config{Scheme: mustWarner(t, 4, 0.7)})
+	rng := randx.New(3)
+	for i := 0; i < 4000; i++ {
+		if err := srv.Collector().Ingest(rng.Intn(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client := rrclient.New(base)
+	ctx := context.Background()
+	full, err := client.Estimate(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	point, err := client.EstimateCategories(ctx, []int{3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(point.Categories) != 2 || point.Categories[0] != 3 || point.Categories[1] != 1 {
+		t.Fatalf("categories echo = %v, want [3 1]", point.Categories)
+	}
+	for i, k := range []int{3, 1} {
+		if point.Estimate[i] != full.Estimate[k] || point.HalfWidth[i] != full.HalfWidth[k] {
+			t.Fatalf("category %d: point %v ± %v, full %v ± %v",
+				k, point.Estimate[i], point.HalfWidth[i], full.Estimate[k], full.HalfWidth[k])
+		}
 	}
 }

@@ -213,7 +213,7 @@ func TestServerSchemeETag(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"dense", Config{Matrix: mustWarner(t, 6, 0.8)}},
+		{"dense", Config{Scheme: mustWarner(t, 6, 0.8)}},
 		{"sketch", Config{Scheme: mustCMS(t, 1000, 4, 16, 4, 1)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

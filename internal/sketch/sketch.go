@@ -42,6 +42,11 @@ const hashPrime = uint64(1)<<61 - 1
 // ErrBadParams reports invalid sketch parameters.
 var ErrBadParams = errors.New("sketch: invalid parameters")
 
+// maxHashes bounds the sketch rows New accepts. Deployed sketches use tens
+// to tens of thousands of rows; the bound keeps a decoded scheme from
+// allocating hash coefficients for an absurd row count.
+const maxHashes = 1 << 20
+
 // CMSScheme is a Count-Mean-Sketch randomized-response scheme. It implements
 // rr.Scheme; values are immutable after construction and safe for concurrent
 // use.
@@ -65,8 +70,8 @@ func New(domain, hashes, hashRange int, inner *rr.Matrix, hashSeed uint64) (*CMS
 	if domain < 1 || uint64(domain) >= hashPrime {
 		return nil, fmt.Errorf("%w: domain %d (want 1 ≤ domain < 2⁶¹−1)", ErrBadParams, domain)
 	}
-	if hashes < 1 {
-		return nil, fmt.Errorf("%w: %d hash functions", ErrBadParams, hashes)
+	if hashes < 1 || hashes > maxHashes {
+		return nil, fmt.Errorf("%w: %d hash functions (want 1 ≤ hashes ≤ %d)", ErrBadParams, hashes, maxHashes)
 	}
 	if hashRange < 2 {
 		return nil, fmt.Errorf("%w: hash range %d (want ≥ 2)", ErrBadParams, hashRange)

@@ -81,6 +81,7 @@ func TestCMSRejectsBadParams(t *testing.T) {
 		{"zero domain", 0, 4, 8},
 		{"negative domain", -1, 4, 8},
 		{"zero hashes", 100, 0, 8},
+		{"absurd hashes", 100, maxHashes + 1, 8},
 		{"hash range 1", 100, 4, 1},
 		{"inner size mismatch", 100, 4, 16},
 	}

@@ -12,8 +12,8 @@ import (
 // disabled path (nil Recorder, nil *Metrics) costs nothing.
 //
 // Wire a trace into a search via Problem.Recorder, live metrics via
-// Problem.Metrics, and a collection campaign via Collector.Instrument /
-// SafeCollector.Instrument. See the README's "Observability" section for
+// Problem.Metrics, and a collection campaign via Collector.Instrument. See
+// the README's "Observability" section for
 // the event schema and metric names.
 
 // Recorder consumes structured trace events. Implementations must be safe

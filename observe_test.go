@@ -112,7 +112,7 @@ func TestOptimizeServesLiveMetrics(t *testing.T) {
 	}
 }
 
-// TestInstrumentedCollectionFacade exercises the SafeCollector
+// TestInstrumentedCollectionFacade exercises the collector
 // instrumentation through the public aliases.
 func TestInstrumentedCollectionFacade(t *testing.T) {
 	m, err := Warner(4, 0.7)
@@ -121,7 +121,7 @@ func TestInstrumentedCollectionFacade(t *testing.T) {
 	}
 	rec := NewMemoryRecorder()
 	reg := NewMetrics()
-	c := NewSafeCollector(m)
+	c := NewCollector(m, 1)
 	c.Instrument(rec, reg)
 	if err := c.IngestBatch([]int{0, 1, 2, 3, 1, 2}); err != nil {
 		t.Fatal(err)

@@ -31,19 +31,20 @@ var WithCollectionHTTPClient = rrclient.WithHTTPClient
 // tests and simulations only.
 var WithCollectionSeed = rrclient.WithSeed
 
-// CollectorWriter buffers reports for a ShardedCollector and flushes them in
+// CollectorWriter buffers reports for a Collector and flushes them in
 // batches, amortizing per-report synchronization. Close flushes and retires
 // the writer; both Flush and Close are idempotent.
 type CollectorWriter = collector.Writer
 
 // Typed collection errors, for errors.Is checks at the campaign layer.
 var (
-	// ErrBadReport reports a disguised category outside the matrix domain.
+	// ErrBadReport reports a disguised report outside the scheme's report
+	// space.
 	ErrBadReport = collector.ErrBadReport
 	// ErrNoReports reports a query against an empty collector.
 	ErrNoReports = collector.ErrNoReports
 	// ErrBadSnapshot reports a corrupt or inconsistent collector snapshot
-	// handed to RestoreShardedCollector.
+	// handed to RestoreCollector.
 	ErrBadSnapshot = collector.ErrBadSnapshot
 	// ErrBadMargin reports a non-positive or non-finite target margin.
 	ErrBadMargin = collector.ErrBadMargin

@@ -9,16 +9,16 @@ import (
 	"optrr/internal/randx"
 )
 
-// TestShardedCollectorEndToEnd drives the root-package sharded API through a
-// small campaign: concurrent respondents report into a ShardedCollector, the
-// collector is checkpointed to JSON mid-campaign, restored, and finishes
-// identically.
+// TestShardedCollectorEndToEnd drives the root-package collector API through
+// a small campaign: concurrent respondents report into a 4-shard collector,
+// the collector is checkpointed to JSON mid-campaign, restored, and
+// finishes identically.
 func TestShardedCollectorEndToEnd(t *testing.T) {
 	m, err := optrr.Warner(4, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := optrr.NewShardedCollector(m, 4)
+	c := optrr.NewCollector(m, 4)
 
 	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
@@ -62,7 +62,7 @@ func TestShardedCollectorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := optrr.RestoreShardedCollector(blob, 2)
+	restored, err := optrr.RestoreCollector(blob, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
