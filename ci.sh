@@ -18,9 +18,12 @@
 #                  the single-P and multi-P schedules
 #   fuzz smoke     short -fuzz bursts on the sketch hash→disguise→debias
 #                  round trip (estimates stay finite and near-normalized for
-#                  arbitrary parameters) and on the collector snapshot
+#                  arbitrary parameters), on the collector snapshot
 #                  decoder (every input is rejected as ErrBadSnapshot or
-#                  round-trips to the same counts and scheme version)
+#                  round-trips to the same counts and scheme version) and
+#                  on the rrapi batch-body codec (every body it accepts,
+#                  encoding/json reads as the same reports; its encoding
+#                  equals json.Marshal and round-trips)
 #   bench smoke    the BenchmarkOptimize trio (baseline, traced, island
 #                  scaling) plus the hot-path micro-benchmarks (fused
 #                  evaluation, extra-objective evaluation, Kronecker-factored
@@ -30,10 +33,11 @@
 #                  quantiles) and
 #                  the collector contention matrix with the batched writer,
 #                  parallel ingest and the full-domain heavy-hitter scan
-#                  over a count-mean sketch, and the rrserver HTTP
-#                  batch-ingest path (with its p99 batch latency as a custom
-#                  metric), at pinned -benchtime/-count with -benchmem, all
-#                  rendered into BENCH_optimize.json
+#                  over a count-mean sketch, the rrapi batch-body codec
+#                  against encoding/json (1000-report encode and decode), and
+#                  the rrserver HTTP batch-ingest path (with its p99 batch
+#                  latency as a custom metric), at pinned -benchtime/-count
+#                  with -benchmem, all rendered into BENCH_optimize.json
 #   bench compare  gating diff of the fresh run against the committed
 #                  BENCH_optimize.json via cmd/benchdiff: fails the suite on
 #                  a >25% ns/op (5% allocs/op, 10% B/op) regression unless
@@ -79,9 +83,10 @@ echo "== go test -race (parallel paths) =="
 go test -race -run 'Parallel|Grid|Batch|Stream|Tuple' \
     ./internal/experiments ./internal/rr ./internal/dataset
 
-echo "== fuzz smoke (sketch round trip, snapshot decoder) =="
+echo "== fuzz smoke (sketch round trip, snapshot decoder, batch codec) =="
 go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 5s ./internal/sketch
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 5s ./internal/collector
+go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 5s ./internal/rrapi
 
 echo "== bench smoke =="
 # Iteration counts are pinned (-benchtime=Nx -count=1) so runs are
@@ -98,6 +103,7 @@ go test -run '^$' -bench '^BenchmarkDisguise$' -benchtime=20x -count=1 -benchmem
 go test -run '^$' -bench '^BenchmarkCollectorContention' -benchtime=100000x -count=1 -benchmem ./internal/collector | tee -a BENCH_optimize.txt
 go test -run '^$' -bench '^BenchmarkSketchIngest$' -benchtime=100000x -count=1 -benchmem ./internal/collector | tee -a BENCH_optimize.txt
 go test -run '^$' -bench '^BenchmarkHeavyHitters$' -benchtime=20x -count=1 -benchmem ./internal/collector | tee -a BENCH_optimize.txt
+go test -run '^$' -bench '^BenchmarkBatchCodec$' -benchtime=2000x -count=1 -benchmem ./internal/rrapi | tee -a BENCH_optimize.txt
 go test -run '^$' -bench '^BenchmarkServerIngest$' -benchtime=100000x -count=1 -benchmem ./internal/rrserver | tee -a BENCH_optimize.txt
 # Render the benchmark lines ("BenchmarkName  iters  value unit ...") as a
 # JSON array so downstream tooling can diff runs.

@@ -1,8 +1,7 @@
 // Command benchdiff compares two benchmark JSON files produced by ci.sh's
 // bench-smoke stage and reports per-benchmark deltas. It is the repository's
-// benchmark-regression guard: ci.sh runs it warn-only (the smoke runs are
-// single-shot and noisy), but it exits non-zero on a regression beyond the
-// thresholds so a cron or release pipeline can choose to gate on it.
+// benchmark-regression guard: it exits non-zero on a regression beyond the
+// thresholds, and ci.sh fails on that unless BENCH_ALLOW_REGRESS=1.
 //
 // Usage:
 //

@@ -135,12 +135,8 @@ func (c *Collector) IngestBatch(reports []int) error {
 		sh.counts[r].Add(1)
 	}
 	sh.mu.Unlock()
-	if c.ins != nil {
-		for _, r := range reports {
-			c.ins.observeIngest(r)
-		}
-		c.ins.observeBatch(len(reports), c.Count())
-	}
+	c.ins.observeReports(reports)
+	c.ins.observeBatch(len(reports), c.Count)
 	return nil
 }
 
@@ -290,9 +286,7 @@ func (c *Collector) Merge(other *Collector) error {
 		sh.counts[k].Add(int64(v))
 	}
 	sh.mu.Unlock()
-	if c.ins != nil {
-		c.ins.observeBatch(total, c.Count())
-	}
+	c.ins.observeBatch(total, c.Count)
 	return nil
 }
 

@@ -66,6 +66,23 @@ func (ins *instrumentation) observeIngest(report int) {
 	}
 }
 
+// observeReports updates the report counters for a landed batch: one add
+// to the volume counter, and one increment per report to its category's
+// series. A dense collector's perCat spans the whole report space the batch
+// was validated against; a sketch's is empty.
+func (ins *instrumentation) observeReports(reports []int) {
+	if ins == nil {
+		return
+	}
+	ins.ingested.Add(int64(len(reports)))
+	if len(ins.perCat) == 0 {
+		return
+	}
+	for _, r := range reports {
+		ins.perCat[r].Inc()
+	}
+}
+
 // observeBad counts a rejected report.
 func (ins *instrumentation) observeBad() {
 	if ins == nil {
@@ -74,9 +91,10 @@ func (ins *instrumentation) observeBad() {
 	ins.badReports.Inc()
 }
 
-// observeBatch updates the batch counters and emits a "collector.batch"
-// event.
-func (ins *instrumentation) observeBatch(size, total int) {
+// observeBatch updates the batch counters and, when the recorder is on,
+// emits a "collector.batch" event with the collector's running total. total
+// is called only then: it takes every shard lock to fold the counts.
+func (ins *instrumentation) observeBatch(size int, total func() int) {
 	if ins == nil {
 		return
 	}
@@ -85,7 +103,7 @@ func (ins *instrumentation) observeBatch(size, total int) {
 	if ins.rec.Enabled() {
 		ins.rec.Record("collector.batch", obs.Fields{
 			"size":  size,
-			"total": total,
+			"total": total(),
 		})
 	}
 }

@@ -107,7 +107,8 @@ func TestInstrumentNilRegistryStillWorks(t *testing.T) {
 
 // TestUninstrumentedAndNopIngestAllocations guards the zero-overhead claim:
 // neither a bare collector nor one instrumented with a no-op recorder may
-// allocate on the per-report hot path.
+// allocate on the per-report hot path, nor on a batch (which must not fold
+// the shards for a trace event nobody records).
 func TestUninstrumentedAndNopIngestAllocations(t *testing.T) {
 	m, err := rr.Warner(4, 0.7)
 	if err != nil {
@@ -130,5 +131,13 @@ func TestUninstrumentedAndNopIngestAllocations(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("nop-instrumented Ingest allocated %v times per run, want 0", n)
+	}
+	batch := []int{0, 1, 2, 3, 2, 1}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := nop.IngestBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("nop-instrumented IngestBatch allocated %v times per run, want 0", n)
 	}
 }

@@ -95,9 +95,7 @@ func (w *Writer) Flush() error {
 		w.pending[k] = 0
 	}
 	w.n = 0
-	if w.c.ins != nil {
-		w.c.ins.observeBatch(flushed, w.c.Count())
-	}
+	w.c.ins.observeBatch(flushed, w.c.Count)
 	return nil
 }
 

@@ -4,6 +4,12 @@
 // and internal/rrclient (the disguise SDK) and deliberately depends on
 // nothing but the rr matrix type, so the client pulls in no server code.
 //
+// It also owns the codec for the one body on the ingest hot path, the
+// POST /v1/reports batch: AppendBatch writes exactly what json.Marshal
+// writes for a BatchRequest, and DecodeBatch reads it back in one pass
+// without reflection, under a strict grammar documented on DecodeBatch.
+// Every other body goes through encoding/json with the types below.
+//
 // The protocol is the paper's Section I split made literal: the private
 // value is sampled through the disguise matrix on the respondent's machine,
 // and only the disguised category index ever crosses the wire.
@@ -22,6 +28,8 @@ type ReportRequest struct {
 
 // BatchRequest is the body of POST /v1/reports: many disguised categories,
 // ingested atomically (all land or, on any out-of-range report, none do).
+// The SDK encodes it with AppendBatch and the service decodes it with
+// DecodeBatch.
 type BatchRequest struct {
 	Reports []int `json:"reports"`
 }

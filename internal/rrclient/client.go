@@ -56,11 +56,15 @@ type Client struct {
 	z       float64
 }
 
+// requestTimeout bounds every request the SDK's own HTTP client makes, so a
+// stalled server cannot hang a respondent whose context has no deadline.
+const requestTimeout = 30 * time.Second
+
 // Option configures a Client.
 type Option func(*Client)
 
-// WithHTTPClient substitutes the underlying HTTP client (e.g. one with a
-// timeout or a test transport).
+// WithHTTPClient substitutes the underlying HTTP client (e.g. one with its
+// own timeout or a test transport).
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
@@ -74,10 +78,12 @@ func WithSeed(seed uint64) Option {
 
 // New returns a client for the service at baseURL (e.g.
 // "http://127.0.0.1:8433"). No network traffic happens until the first call.
+// Unless WithHTTPClient substitutes one, requests go through an HTTP client
+// of the SDK's own that gives up on any request after 30 seconds.
 func New(baseURL string, opts ...Option) *Client {
 	c := &Client{
 		base: strings.TrimRight(baseURL, "/"),
-		hc:   http.DefaultClient,
+		hc:   &http.Client{Timeout: requestTimeout},
 		rng:  randx.New(randomSeed()),
 	}
 	for _, o := range opts {
@@ -297,15 +303,21 @@ func (c *Client) ReportValues(ctx context.Context, values []int) ([]int, error) 
 // Report submits one already-disguised report (POST /v1/report). Most
 // callers want ReportValue, which disguises first.
 func (c *Client) Report(ctx context.Context, disguised int) error {
+	body, err := json.Marshal(rrapi.ReportRequest{Report: disguised})
+	if err != nil {
+		return fmt.Errorf("rrclient: encoding request: %w", err)
+	}
 	var resp rrapi.IngestResponse
-	return c.do(ctx, http.MethodPost, "/v1/report", rrapi.ReportRequest{Report: disguised}, &resp)
+	return c.do(ctx, http.MethodPost, "/v1/report", body, &resp)
 }
 
 // ReportBatch submits a batch of already-disguised reports
-// (POST /v1/reports), which land atomically on the collector.
+// (POST /v1/reports), which land atomically on the collector. The body is
+// encoded by rrapi.AppendBatch into storage of its own: the transport may
+// still be reading a request body after Do returns.
 func (c *Client) ReportBatch(ctx context.Context, disguised []int) error {
 	var resp rrapi.IngestResponse
-	return c.do(ctx, http.MethodPost, "/v1/reports", rrapi.BatchRequest{Reports: disguised}, &resp)
+	return c.do(ctx, http.MethodPost, "/v1/reports", rrapi.AppendBatch(nil, disguised), &resp)
 }
 
 // Estimate fetches the server's current debiased reconstruction with
@@ -358,16 +370,13 @@ func (c *Client) HeavyHitters(ctx context.Context, threshold float64, limit int)
 	return &resp, nil
 }
 
-// do runs one JSON round trip. Non-2xx answers are surfaced as errors
-// carrying the server's ErrorResponse message.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// do runs one JSON round trip with an already-encoded request body (nil for
+// none). Non-2xx answers are surfaced as errors carrying the server's
+// ErrorResponse message.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("rrclient: encoding request: %w", err)
-		}
-		rd = bytes.NewReader(data)
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {

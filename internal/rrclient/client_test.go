@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"optrr/internal/rr"
 	"optrr/internal/rrapi"
@@ -119,5 +120,44 @@ func TestClientSurfacesServerErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "out of range") || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("error lost the server message: %v", err)
+	}
+}
+
+// TestClientDefaultTimeout: without WithHTTPClient the SDK sends through an
+// HTTP client of its own with a timeout, so a stalled server fails a call
+// whose context has no deadline instead of hanging the respondent.
+// WithHTTPClient still overrides that client.
+func TestClientDefaultTimeout(t *testing.T) {
+	stall := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		select {
+		case <-stall:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(srv.Close)
+	defer close(stall)
+
+	c := New(srv.URL)
+	if c.hc == http.DefaultClient || c.hc.Timeout <= 0 {
+		t.Fatalf("default HTTP client has timeout %v (shared default client: %v), want the SDK's own with a timeout",
+			c.hc.Timeout, c.hc == http.DefaultClient)
+	}
+	// Shorten this client's own timeout to watch it fire.
+	c.hc.Timeout = 50 * time.Millisecond
+	errc := make(chan error, 1)
+	go func() { errc <- c.ReportBatch(context.Background(), []int{0}) }()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("a stalled server acknowledged the batch")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ReportBatch hung on a stalled server")
+	}
+
+	hc := &http.Client{}
+	if got := New(srv.URL, WithHTTPClient(hc)).hc; got != hc {
+		t.Fatal("WithHTTPClient did not replace the default client")
 	}
 }

@@ -25,11 +25,15 @@
 // collector debiases and bounds a dense *rr.Matrix with Theorem 6 and a
 // count-mean sketch (O(k·m) state) with its own bounds. When the domain is
 // larger than the report space, /v1/estimate requires ?categories=.
-// Ingest bodies are capped before decoding. The collection state is
-// persisted durably and restored at boot through one path (see recover).
+// Ingest bodies are capped before decoding. Batch bodies are decoded in one
+// pass by rrapi.DecodeBatch, whose strict grammar answers 400 to some
+// bodies encoding/json would read ({}, a null array, unknown or duplicate
+// members, trailing data). The collection state is persisted durably and
+// restored at boot through one path (see recover).
 package rrserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -40,6 +44,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"optrr/internal/collector"
@@ -110,6 +115,8 @@ type Server struct {
 	snapshots    *obs.Counter   // rrserver.snapshots
 	snapshotErrs *obs.Counter   // rrserver.snapshot_errors
 	snapshotSize *obs.Gauge     // rrserver.snapshot_bytes
+
+	batches sync.Pool // *batchScratch for handleBatch
 }
 
 // New builds the service and, when cfg.SnapshotPath names an existing file,
@@ -150,6 +157,7 @@ func New(cfg Config) (*Server, error) {
 		snapshotErrs: cfg.Registry.Counter("rrserver.snapshot_errors"),
 		snapshotSize: cfg.Registry.Gauge("rrserver.snapshot_bytes"),
 		reportWidth:  int64(len(strconv.Itoa(cfg.Scheme.ReportSpace() - 1))),
+		batches:      sync.Pool{New: func() any { return new(batchScratch) }},
 	}
 	if s.logf == nil {
 		s.logf = log.Printf
@@ -330,16 +338,20 @@ func writeDurably(path string, data []byte) error {
 // 413 when the cap is hit and 400 for any other decode failure.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
-	if err == nil {
-		return true
+	if err != nil {
+		s.writeError(w, bodyStatus(err), fmt.Errorf("decoding body: %v", err))
 	}
-	code := http.StatusBadRequest
+	return err == nil
+}
+
+// bodyStatus answers a failed ingest body: 413 when it hit the byte cap,
+// 400 for anything else.
+func bodyStatus(err error) int {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		code = http.StatusRequestEntityTooLarge
+		return http.StatusRequestEntityTooLarge
 	}
-	s.writeError(w, code, fmt.Errorf("decoding body: %v", err))
-	return false
+	return http.StatusBadRequest
 }
 
 // handleReport ingests one disguised report.
@@ -358,26 +370,47 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch ingests a batch of disguised reports atomically. The body cap
-// gives each of MaxBatch reports its digits plus a comma and a space.
+// gives each of MaxBatch reports its digits plus a comma and a space. The
+// body is read whole into pooled scratch and decoded in one pass by
+// rrapi.DecodeBatch, so a steady stream of batches allocates no body or
+// report storage.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req rrapi.BatchRequest
-	if !s.decodeBody(w, r, bodySlack+int64(s.cfg.MaxBatch)*(s.reportWidth+2), &req) {
+	scratch := s.batches.Get().(*batchScratch)
+	defer s.batches.Put(scratch)
+	body := bytes.NewBuffer(scratch.body[:0])
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, bodySlack+int64(s.cfg.MaxBatch)*(s.reportWidth+2)))
+	scratch.body = body.Bytes()
+	if err == nil {
+		scratch.reports, err = rrapi.DecodeBatch(scratch.body, scratch.reports)
+	}
+	if err != nil {
+		s.writeError(w, bodyStatus(err), fmt.Errorf("decoding body: %v", err))
 		return
 	}
-	if len(req.Reports) > s.cfg.MaxBatch {
+	reports := scratch.reports
+	if len(reports) > s.cfg.MaxBatch {
 		s.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d exceeds the %d-report limit", len(req.Reports), s.cfg.MaxBatch))
+			fmt.Errorf("batch of %d exceeds the %d-report limit", len(reports), s.cfg.MaxBatch))
 		return
 	}
-	if len(req.Reports) > 0 {
-		if err := s.col.IngestBatch(req.Reports); err != nil {
+	if len(reports) > 0 {
+		if err := s.col.IngestBatch(reports); err != nil {
 			s.writeError(w, statusFor(err), err)
 			return
 		}
 	}
 	s.ingestLat.Observe(float64(time.Since(start).Nanoseconds()))
-	s.writeJSON(w, http.StatusOK, rrapi.IngestResponse{Accepted: len(req.Reports)})
+	s.writeJSON(w, http.StatusOK, rrapi.IngestResponse{Accepted: len(reports)})
+}
+
+// batchScratch is one in-flight batch's storage: the request body and the
+// reports decoded from it. Nothing keeps a reference once the handler
+// returns (the collector copies reports into its counters), so the pool
+// hands the same storage to the next batch.
+type batchScratch struct {
+	body    []byte
+	reports []int
 }
 
 // handleEstimate serves the current reconstruction with confidence

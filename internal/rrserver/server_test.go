@@ -471,6 +471,49 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// TestServerBatchBodyGrammar: POST /v1/reports takes the rrapi.DecodeBatch
+// grammar, whitespace included. Each body class it refuses although
+// encoding/json would read it is a 400 with nothing landed, as are a
+// non-integer and a negative report (which decodes, then fails the
+// collector's range check).
+func TestServerBatchBodyGrammar(t *testing.T) {
+	srv, _, base := startService(t, Config{Scheme: mustWarner(t, 3, 0.8)})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/reports", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		``,
+		`{}`,
+		`{"reports":null}`,
+		`{"reports":[1],"extra":0}`,
+		`{"Reports":[1]}`,
+		`{"report\u0073":[1]}`,
+		`{"reports":[1],"reports":[2]}`,
+		`{"reports":[1]} {}`,
+		`{"reports":[1.0]}`,
+		`{"reports":[0,-1]}`,
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("body %q: HTTP %d, want 400", body, code)
+		}
+	}
+	if got := srv.Collector().Count(); got != 0 {
+		t.Fatalf("refused bodies left %d reports behind", got)
+	}
+	if code := post(" {\n\t\"reports\" : [ 0 ,1,\r\n2 ] }\n"); code != http.StatusOK {
+		t.Fatalf("whitespace-laden batch: HTTP %d, want 200", code)
+	}
+	if got := srv.Collector().Count(); got != 3 {
+		t.Fatalf("count = %d after a 3-report batch, want 3", got)
+	}
+}
+
 // TestServerKeepsRejectedSnapshot: a boot that rejects its snapshot —
 // corrupt, or collected under another scheme — moves the file aside to
 // <path>.rejected before starting fresh, so the next persist cannot
