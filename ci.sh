@@ -18,12 +18,19 @@
 #                  the single-P and multi-P schedules
 #   fuzz smoke     short -fuzz bursts on the sketch hash→disguise→debias
 #                  round trip (estimates stay finite and near-normalized for
-#                  arbitrary parameters), on the collector snapshot
-#                  decoder (every input is rejected as ErrBadSnapshot or
-#                  round-trips to the same counts and scheme version) and
-#                  on the rrapi batch-body codec (every body it accepts,
-#                  encoding/json reads as the same reports; its encoding
-#                  equals json.Marshal and round-trips)
+#                  arbitrary parameters), on the scheme-envelope decoder
+#                  (every input is rejected as rr.ErrBadScheme or
+#                  round-trips to the same scheme version), on the collector
+#                  snapshot decoder (every input is rejected as
+#                  ErrBadSnapshot or round-trips to the same counts and
+#                  scheme version) and on the rrapi batch-body codec (every
+#                  body it accepts, encoding/json reads as the same reports;
+#                  its encoding equals json.Marshal and round-trips)
+#   results        the whole paper reproduction: cmd/experiments at its
+#                  default budget (about 40 s) regenerates every CSV into a
+#                  temporary directory, every shape check must pass, and the
+#                  set must equal the committed results/*.csv byte for byte
+#                  (no file missing, extra or different)
 #   bench smoke    the BenchmarkOptimize trio (baseline, traced, island
 #                  scaling) plus the hot-path micro-benchmarks (fused
 #                  evaluation, extra-objective evaluation, Kronecker-factored
@@ -83,10 +90,23 @@ echo "== go test -race (parallel paths) =="
 go test -race -run 'Parallel|Grid|Batch|Stream|Tuple' \
     ./internal/experiments ./internal/rr ./internal/dataset
 
-echo "== fuzz smoke (sketch round trip, snapshot decoder, batch codec) =="
+echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, batch codec) =="
 go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 5s ./internal/sketch
+go test -run '^$' -fuzz '^FuzzUnmarshalScheme$' -fuzztime 5s ./internal/sketch
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 5s ./internal/collector
 go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 5s ./internal/rrapi
+
+echo "== results (paper reproduction, byte for byte) =="
+repro=$(mktemp -d)
+trap 'rm -rf "$repro"' EXIT
+if ! go run ./cmd/experiments -csv "$repro/csv" > "$repro/log" 2>&1; then
+    cat "$repro/log" >&2
+    echo "experiments failed; see the log above" >&2
+    exit 1
+fi
+# summary.txt is the run's printed report, with wall times; only the CSVs
+# are reproducible.
+diff -r --exclude=summary.txt results "$repro/csv"
 
 echo "== bench smoke =="
 # Iteration counts are pinned (-benchtime=Nx -count=1) so runs are

@@ -84,8 +84,9 @@ func newConvergenceTracker(window int) convergenceTracker {
 
 // observe folds one completed generation into the tracker and returns its
 // snapshot. front is the archive in objective space; hv its hypervolume
-// against the run's fixed reference point.
-func (t *convergenceTracker) observe(gen int, hv float64, omega *Omega, front []pareto.Point) Convergence {
+// against the run's fixed reference point; omega the run's Ω, of any genome
+// type.
+func (t *convergenceTracker) observe(gen int, hv float64, omega interface{ Churn() (int, int) }, front []pareto.Point) Convergence {
 	improved := false
 	switch {
 	case math.IsNaN(hv):

@@ -230,7 +230,7 @@ func BenchmarkConvergenceSnapshot(b *testing.B) {
 	}
 	omega := NewOmega(1000)
 	tr := newConvergenceTracker(0)
-	opt := &Optimizer{rec: obs.Nop, met: newOptimizerMetrics(obs.NewRegistry())}
+	opt := &engine[Genome]{rec: obs.Nop, met: newOptimizerMetrics(obs.NewRegistry())}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"runtime"
 	"testing"
 
@@ -240,5 +245,257 @@ var goldenFronts = map[string]struct {
 		{Privacy: 0.62319038257145831, Utility: 0.0012133296805065248},
 		{Privacy: 0.63539678663636801, Utility: 0.0015204976429312839},
 		{Privacy: 0.64175288803190011, Utility: 0.0036641201954348869},
+	}},
+}
+
+// TestGoldenMultiFrontsUnchanged pins the multi-attribute search the same
+// way: generation and evaluation counts, the front, and every genome entry of
+// every front member, bit for bit at every worker count.
+func TestGoldenMultiFrontsUnchanged(t *testing.T) {
+	for _, c := range goldenMultiCases() {
+		res, err := OptimizeMulti(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%s workers=%d", c.name, c.cfg.Workers)
+		checkGolden(t, label, multiGolden(res), goldenMultiRuns[c.name])
+	}
+}
+
+// TestGoldenWeightedSumUnchanged pins the weighted-sum baseline, with and
+// without an extra objective, the same way.
+func TestGoldenWeightedSumUnchanged(t *testing.T) {
+	for name, cfg := range goldenWeightedCases(t) {
+		res, err := OptimizeWeightedSum(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, name, weightedGolden(res), goldenWeightedRuns[name])
+	}
+}
+
+// goldenRun is one pinned search outcome: generation and evaluation counts,
+// the front in result order, and an FNV-1a digest over the IEEE-754 bits of
+// every genome entry of every front member, in the same order.
+type goldenRun struct {
+	gens, evals int
+	digest      uint64
+	pts         []pareto.Point
+}
+
+// digestGenomes folds the bits of every entry of gs into h.
+func digestGenomes(h hash.Hash64, gs ...Genome) {
+	var b [8]byte
+	for _, g := range gs {
+		for _, col := range g {
+			for _, v := range col {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+}
+
+// multiGolden and weightedGolden reduce a result to its pinned outcome.
+func multiGolden(res MultiResult) goldenRun {
+	h := fnv.New64a()
+	g := goldenRun{gens: res.Generations, evals: res.Evaluations}
+	for _, ind := range res.Front {
+		digestGenomes(h, ind.Genomes...)
+		g.pts = append(g.pts, ind.Point())
+	}
+	g.digest = h.Sum64()
+	return g
+}
+
+func weightedGolden(res Result) goldenRun {
+	h := fnv.New64a()
+	g := goldenRun{gens: res.Generations, evals: res.Evaluations}
+	for _, ind := range res.Front {
+		digestGenomes(h, ind.Genome)
+		g.pts = append(g.pts, ind.Point())
+	}
+	g.digest = h.Sum64()
+	return g
+}
+
+// checkGolden compares a run against its pin at full float64 precision.
+func checkGolden(t *testing.T, label string, got, want goldenRun) {
+	t.Helper()
+	if got.gens != want.gens || got.evals != want.evals {
+		t.Fatalf("%s: %d generations and %d evaluations, want %d and %d", label, got.gens, got.evals, want.gens, want.evals)
+	}
+	if len(got.pts) != len(want.pts) {
+		t.Fatalf("%s: front size %d, want %d", label, len(got.pts), len(want.pts))
+	}
+	for i, p := range got.pts {
+		if p != want.pts[i] {
+			t.Fatalf("%s: front[%d] = %v, want %v", label, i, p, want.pts[i])
+		}
+	}
+	if got.digest != want.digest {
+		t.Fatalf("%s: genome digest %#x, want %#x", label, got.digest, want.digest)
+	}
+}
+
+// goldenMultiCase is one pinned multi-attribute search; cases sharing a name
+// share a pin.
+type goldenMultiCase struct {
+	name string
+	cfg  MultiConfig
+}
+
+// goldenMultiCases lists the pinned multi-attribute searches: quickMulti at
+// several worker counts, a three-attribute problem, and Ω at its default
+// size.
+func goldenMultiCases() []goldenMultiCase {
+	var cases []goldenMultiCase
+	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		cfg := quickMulti()
+		cfg.Workers = w
+		cases = append(cases, goldenMultiCase{"quick", cfg})
+	}
+	joint := make([]float64, 2*3*4)
+	var sum float64
+	for i := range joint {
+		joint[i] = 1 + float64(i%7)
+		sum += joint[i]
+	}
+	for i := range joint {
+		joint[i] /= sum
+	}
+	cases = append(cases, goldenMultiCase{"d3", MultiConfig{
+		Joint: joint, Sizes: []int{2, 3, 4}, Records: 5000, Delta: 0.5,
+		PopulationSize: 10, ArchiveSize: 10, OmegaSize: 100, Generations: 25, Seed: 9, Workers: 1,
+	}})
+	cfg := quickMulti()
+	cfg.OmegaSize = 0
+	cfg.Generations = 20
+	cfg.Workers = 1
+	cases = append(cases, goldenMultiCase{"omega-default", cfg})
+	return cases
+}
+
+// goldenWeightedCases lists the pinned weighted-sum sweeps: quickWeighted and
+// TestWeightedSumTriObjective's configuration.
+func goldenWeightedCases(t *testing.T) map[string]WeightedSumConfig {
+	return map[string]WeightedSumConfig{
+		"quick": quickWeighted(),
+		"triobj": {
+			Prior:          []float64{0.5, 0.3, 0.2},
+			Records:        10000,
+			Delta:          0.75,
+			Weights:        3,
+			PopulationSize: 8,
+			Generations:    4,
+			Seed:           11,
+			Objectives:     testObjectives(t, "mutual-information"),
+		},
+	}
+}
+
+var goldenMultiRuns = map[string]goldenRun{
+	"quick": {gens: 40, evals: 492, digest: 0x963dbf6ac8c00fb1, pts: []pareto.Point{
+		{Privacy: 0.39462581815267672, Utility: 0.00013736925113864336},
+		{Privacy: 0.41012676296335016, Utility: 0.00017748351925341317},
+		{Privacy: 0.43149597861022193, Utility: 0.00020052366155862483},
+		{Privacy: 0.44256882348695536, Utility: 0.0002447478080628378},
+		{Privacy: 0.4562053860979679, Utility: 0.00027817997185294782},
+		{Privacy: 0.4639963696736854, Utility: 0.0003217110472310295},
+		{Privacy: 0.4864614533109417, Utility: 0.00045049986881432429},
+		{Privacy: 0.50660787314277611, Utility: 0.00052146431893787602},
+		{Privacy: 0.5114637290932571, Utility: 0.00055887481260079449},
+		{Privacy: 0.53589582020168203, Utility: 0.001006745044488987},
+		{Privacy: 0.54603691329689008, Utility: 0.0013757242857320628},
+		{Privacy: 0.55193284077095484, Utility: 0.0015551083008922414},
+		{Privacy: 0.57371638866152463, Utility: 0.0035335429732529754},
+		{Privacy: 0.58131663736016836, Utility: 0.0044255748479466207},
+		{Privacy: 0.59456235506210797, Utility: 0.0064776016705241149},
+		{Privacy: 0.59999999999999998, Utility: 0.011758972135547307},
+	}},
+	"d3": {gens: 25, evals: 260, digest: 0x691ee363b740cb06, pts: []pareto.Point{
+		{Privacy: 0.68037317428776722, Utility: 0.00023919586448409208},
+		{Privacy: 0.69151846922698867, Utility: 0.00025877736209382597},
+		{Privacy: 0.70210987826294324, Utility: 0.00034039541959314637},
+		{Privacy: 0.72675792993696209, Utility: 0.00095577666917428476},
+		{Privacy: 0.73182195556089247, Utility: 0.0013025116647286904},
+		{Privacy: 0.76363432613114912, Utility: 0.0017113379631533939},
+		{Privacy: 0.77389396558319734, Utility: 0.0037663284034105756},
+		{Privacy: 0.78002817881149045, Utility: 0.004484464911624398},
+		{Privacy: 0.80534203386283565, Utility: 0.0059148253109901835},
+		{Privacy: 0.82242204187566781, Utility: 0.0095659384421034697},
+		{Privacy: 0.84461440162037038, Utility: 0.02025696736915391},
+		{Privacy: 0.86061786768551363, Utility: 0.25564769296273282},
+		{Privacy: 0.8814264553354787, Utility: 0.48611303438573233},
+		{Privacy: 0.8973714855191679, Utility: 6.8508028342537974},
+		{Privacy: 0.90096797869865808, Utility: 21.874380593049057},
+	}},
+	"omega-default": {gens: 20, evals: 252, digest: 0xfe3e1794e066587e, pts: []pareto.Point{
+		{Privacy: 0.39462581815267672, Utility: 0.00013736925113864336},
+		{Privacy: 0.41012676296335016, Utility: 0.00017748351925341317},
+		{Privacy: 0.43127751759218536, Utility: 0.00022862176961121542},
+		{Privacy: 0.43366247250028966, Utility: 0.00023707553832212852},
+		{Privacy: 0.44256882348695536, Utility: 0.0002447478080628378},
+		{Privacy: 0.44613942424844844, Utility: 0.00028682490940548861},
+		{Privacy: 0.45626943752296822, Utility: 0.00030164778324911703},
+		{Privacy: 0.45984706354334504, Utility: 0.0003174097009440181},
+		{Privacy: 0.50660787314277611, Utility: 0.00052146431893787602},
+		{Privacy: 0.51184255975039727, Utility: 0.00059207795930641847},
+		{Privacy: 0.53194862052541947, Utility: 0.0012771954663977532},
+		{Privacy: 0.53908262065047929, Utility: 0.0013521289051310883},
+		{Privacy: 0.54977812321227892, Utility: 0.0017554117235766516},
+		{Privacy: 0.55509064937442421, Utility: 0.0021334352948546736},
+		{Privacy: 0.56023136224940329, Utility: 0.0040552645642272416},
+		{Privacy: 0.56176839265516598, Utility: 0.0064873722165587162},
+		{Privacy: 0.56574668030459296, Utility: 0.0082811880781280458},
+		{Privacy: 0.57950330017943907, Utility: 0.0098464951929606911},
+		{Privacy: 0.58381634550707462, Utility: 0.010686546685665092},
+		{Privacy: 0.58806520040373411, Utility: 0.024815686512526625},
+		{Privacy: 0.5894657231568029, Utility: 0.034839422262419761},
+		{Privacy: 0.59886930928057747, Utility: 0.039876813936758557},
+		{Privacy: 0.60000000000000009, Utility: 0.56972822993688388},
+	}},
+}
+
+var goldenWeightedRuns = map[string]goldenRun{
+	"quick": {gens: 100, evals: 950, digest: 0x2a4657e227ff935d, pts: []pareto.Point{
+		{Privacy: 0.63979758847463275, Utility: 0.0086063989894302837},
+		{Privacy: 0.65000000000000013, Utility: 0.10201505706964151},
+		{Privacy: 0.64825649556688936, Utility: 0.011407110862562577},
+		{Privacy: 0.32339501517251656, Utility: 8.8901576959533231e-05},
+		{Privacy: 0.33865597808275005, Utility: 9.5359165985418816e-05},
+		{Privacy: 0.33573293701843365, Utility: 9.3122185343064349e-05},
+		{Privacy: 0.44104210155775747, Utility: 0.0001809198393722189},
+		{Privacy: 0.34019407176226513, Utility: 0.00010539605751944112},
+		{Privacy: 0.34585007603771012, Utility: 0.00011148560771903618},
+		{Privacy: 0.34019407176226513, Utility: 0.00010539605751944112},
+		{Privacy: 0.35960960397754849, Utility: 0.0001155133659409677},
+		{Privacy: 0.36483485673118965, Utility: 0.00012472435684576056},
+		{Privacy: 0.34501193401881225, Utility: 0.00011073237449659711},
+		{Privacy: 0.34019407176226513, Utility: 0.00010539605751944112},
+		{Privacy: 0.47163399994848887, Utility: 0.00028257078604177589},
+		{Privacy: 0.40589721439650095, Utility: 0.00013740016424298806},
+		{Privacy: 0.42263644621853325, Utility: 0.00015931751279659796},
+		{Privacy: 0.41005845069686719, Utility: 0.00013764834025472398},
+	}},
+	"triobj": {gens: 24, evals: 216, digest: 0x763805f2dd02964d, pts: []pareto.Point{
+		pareto.NewPoint(0.5, 0.0023491133614391428, 0.01395988153187111),
+		pareto.NewPoint(0.49698982930542279, 0.0018948183631298618, 0.032206306533398843),
+		pareto.NewPoint(0.49698982930542279, 0.0018948183631298618, 0.032206306533398843),
+		pareto.NewPoint(0.49878520746436728, 0.0019356923378435846, 0.024534596513394957),
+		pareto.NewPoint(0.49878520746436728, 0.0019356923378435846, 0.024534596513394957),
+		pareto.NewPoint(0.5, 0.00041847131250943279, 0.069616076243785407),
+		pareto.NewPoint(0.5, 0.00071123892694267105, 0.049401420373848204),
+		pareto.NewPoint(0.5, 0.00041847131250943279, 0.069616076243785407),
+		pareto.NewPoint(0.5, 0.00041847131250943279, 0.069616076243785407),
+		pareto.NewPoint(0.32739389341066594, 8.4070152369711534e-05, 0.42086612238401022),
+		pareto.NewPoint(0.38333170907008451, 0.0001350725178648518, 0.22951266629959477),
+		pareto.NewPoint(0.38797658102168686, 0.0001694175477220571, 0.33372822457648454),
+		pareto.NewPoint(0.32617004433388053, 9.0814548206593945e-05, 0.37919380743354014),
+		pareto.NewPoint(0.5, 0.0010640111485495816, 0.046415472802248892),
+		pareto.NewPoint(0.37363008932288133, 0.00031381435901089549, 0.21145263085299382),
+		pareto.NewPoint(0.48085247569641099, 0.00038069296225204835, 0.091829898683623901),
+		pareto.NewPoint(0.5, 0.00036774938231751261, 0.094136613546742742),
+		pareto.NewPoint(0.37363008932288133, 0.00031381435901089549, 0.21145263085299382),
 	}},
 }

@@ -32,7 +32,7 @@ import (
 type islandState struct {
 	idx  int
 	opt  *Optimizer
-	rs   *runState
+	rs   *runState[Genome]
 	done bool
 	err  error // fatal error; the epoch aborts
 }
@@ -258,20 +258,8 @@ func (o *Optimizer) finishIslands(islands []*islandState, wallStart time.Time) R
 		}
 	}
 	o.evaluations = evaluations
-	front := o.omega.FrontSnapshot()
-	if !o.omega.Enabled() {
-		archPts := make([]pareto.Point, len(archive))
-		for i, ind := range archive {
-			archPts[i] = ind.Point()
-		}
-		idx := pareto.Front(archPts)
-		front = make([]Individual, 0, len(idx))
-		for _, i := range idx {
-			front = append(front, Individual{Genome: archive[i].Genome.Clone(), Eval: archive[i].Eval})
-		}
-	}
 	res := Result{
-		Front:       front,
+		Front:       o.front(archive),
 		Archive:     archive,
 		Generations: maxGen(islands),
 		Evaluations: evaluations,

@@ -47,6 +47,9 @@ func TestMultiConfigValidate(t *testing.T) {
 		{"records", func(c *MultiConfig) { c.Records = 0 }, ErrBadConfig},
 		{"delta", func(c *MultiConfig) { c.Delta = 0 }, ErrBadConfig},
 		{"delta below joint mode", func(c *MultiConfig) { c.Delta = 0.2 }, ErrInfeasibleBound},
+		{"negative population", func(c *MultiConfig) { c.PopulationSize = -1 }, ErrBadConfig},
+		{"negative archive", func(c *MultiConfig) { c.ArchiveSize = -1 }, ErrBadConfig},
+		{"mutation rate", func(c *MultiConfig) { c.MutationRate = 1.5 }, ErrBadConfig},
 	}
 	for _, c := range cases {
 		cfg := quickMulti()
@@ -168,11 +171,11 @@ func TestOptimizeMultiBeatsIndependentWarner(t *testing.T) {
 	compared := 0
 	for k := 5; k <= 95; k += 5 {
 		p := float64(k) / 100
-		m1, err := warnerGenome(cfg.Sizes[0], p).Matrix()
+		m1, err := diagonalGenome(cfg.Sizes[0], p).Matrix()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, err := warnerGenome(cfg.Sizes[1], p).Matrix()
+		m2, err := diagonalGenome(cfg.Sizes[1], p).Matrix()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,23 +206,6 @@ func TestOptimizeMultiBeatsIndependentWarner(t *testing.T) {
 	if ratio := float64(beats) / float64(compared); ratio < 0.7 {
 		t.Fatalf("optimized tuples match/beat only %.0f%% of Warner baseline points", ratio*100)
 	}
-}
-
-func warnerGenome(n int, p float64) Genome {
-	g := make(Genome, n)
-	off := (1 - p) / float64(n-1)
-	for i := range g {
-		col := make([]float64, n)
-		for j := range col {
-			if i == j {
-				col[j] = p
-			} else {
-				col[j] = off
-			}
-		}
-		g[i] = col
-	}
-	return g
 }
 
 func TestMeetJointBoundBlends(t *testing.T) {

@@ -114,7 +114,7 @@ func (o *Optimizer) emitStart() {
 // emitGeneration publishes one completed generation to the recorder and the
 // metrics registry. The Stats clone detaches the event from the optimizer's
 // reused Front scratch buffer: recorders may retain Fields indefinitely.
-func (o *Optimizer) emitGeneration(st Stats, phases [phaseCount]time.Duration, evalsGen, truncated, backfilled int) {
+func (o *engine[G]) emitGeneration(st Stats, phases [phaseCount]time.Duration, evalsGen, truncated, backfilled int) {
 	if m := o.met; m != nil {
 		m.evaluations.Add(int64(evalsGen))
 		m.repairs.Add(int64(st.Repairs))
@@ -170,7 +170,7 @@ func (o *Optimizer) emitGeneration(st Stats, phases [phaseCount]time.Duration, e
 // "optimizer.convergence" trace event plus the registry mirrors. Like
 // emitGeneration it is free when neither a recorder nor a registry is
 // attached.
-func (o *Optimizer) emitConvergence(c Convergence) {
+func (o *engine[G]) emitConvergence(c Convergence) {
 	if m := o.met; m != nil {
 		m.bestHypervolume.Set(c.BestHypervolume)
 		m.staleGens.Set(float64(c.SinceImprovement))

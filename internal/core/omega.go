@@ -5,18 +5,25 @@ import (
 	"optrr/internal/pareto"
 )
 
-// Individual couples a genome with its objective-space evaluation.
-type Individual struct {
-	Genome Genome
+// individual couples a genome of type G with its objective-space evaluation.
+type individual[G any] struct {
+	Genome G
 	Eval   metrics.Evaluation
 }
+
+// Individual couples a genome with its objective-space evaluation.
+type Individual = individual[Genome]
 
 // Point returns the individual's image in objective space: the canonical
 // privacy/utility pair plus any configured extra objectives (already in
 // canonical minimized form, see metrics.Evaluation.Extra).
-func (ind Individual) Point() pareto.Point {
+func (ind individual[G]) Point() pareto.Point {
 	return pareto.NewPoint(ind.Eval.Privacy, ind.Eval.Utility, ind.Eval.Extra...)
 }
+
+// cloner constrains the engine's genome types: Ω keeps deep copies, because
+// the search goes on mutating the genomes it offers.
+type cloner[G any] interface{ Clone() G }
 
 // Omega is the paper's "optimal set" (Section V-H): a large archive indexed
 // by privacy value that collects good matrices the bounded population and
@@ -25,8 +32,12 @@ func (ind Individual) Point() pareto.Point {
 // (lowest) utility seen for that privacy level. Updates are O(1), so Omega
 // can be much larger than the evolving sets without affecting the cubic
 // environmental-selection cost.
-type Omega struct {
-	bins []*Individual
+type Omega = optimalSet[Genome]
+
+// optimalSet is Ω over genomes of type G: the single-attribute search keeps
+// Genomes in it, the multi-attribute search genome tuples.
+type optimalSet[G cloner[G]] struct {
+	bins []*individual[G]
 
 	// Cumulative churn counters: inserts counts every entry stored (first
 	// occupation or replacement of a bin), evictions counts the subset that
@@ -42,21 +53,24 @@ type Omega struct {
 // NewOmega returns an optimal set with the given number of privacy bins.
 // Size 0 disables the set (every operation becomes a no-op), which is the
 // paper-vs-plain-SPEA2 ablation switch.
-func NewOmega(size int) *Omega {
+func NewOmega(size int) *Omega { return newOptimalSet[Genome](size) }
+
+// newOptimalSet is NewOmega over genomes of type G.
+func newOptimalSet[G cloner[G]](size int) *optimalSet[G] {
 	if size <= 0 {
-		return &Omega{}
+		return &optimalSet[G]{}
 	}
-	return &Omega{bins: make([]*Individual, size)}
+	return &optimalSet[G]{bins: make([]*individual[G], size)}
 }
 
 // Enabled reports whether the set is active.
-func (o *Omega) Enabled() bool { return len(o.bins) > 0 }
+func (o *optimalSet[G]) Enabled() bool { return len(o.bins) > 0 }
 
 // Size returns the number of privacy bins.
-func (o *Omega) Size() int { return len(o.bins) }
+func (o *optimalSet[G]) Size() int { return len(o.bins) }
 
 // Len returns the number of occupied bins.
-func (o *Omega) Len() int {
+func (o *optimalSet[G]) Len() int {
 	n := 0
 	for _, b := range o.bins {
 		if b != nil {
@@ -67,7 +81,7 @@ func (o *Omega) Len() int {
 }
 
 // binIndex maps a privacy value to its bin. Values outside [0, 1) clamp.
-func (o *Omega) binIndex(privacy float64) int {
+func (o *optimalSet[G]) binIndex(privacy float64) int {
 	i := int(privacy * float64(len(o.bins)))
 	if i < 0 {
 		return 0
@@ -85,7 +99,7 @@ func (o *Omega) binIndex(privacy float64) int {
 // in the paper, so the canonical search is bit-for-bit stable; extras enter
 // through FrontSnapshot, whose dominance filter runs over the full k-dim
 // points.
-func (o *Omega) Update(ind Individual) bool {
+func (o *optimalSet[G]) Update(ind individual[G]) bool {
 	if !o.Enabled() {
 		return false
 	}
@@ -98,7 +112,7 @@ func (o *Omega) Update(ind Individual) bool {
 		o.evictions++
 	}
 	o.inserts++
-	clone := Individual{Genome: ind.Genome.Clone(), Eval: ind.Eval}
+	clone := individual[G]{Genome: ind.Genome.Clone(), Eval: ind.Eval}
 	o.bins[i] = &clone
 	return true
 }
@@ -106,12 +120,12 @@ func (o *Omega) Update(ind Individual) bool {
 // Churn returns the cumulative insert and eviction counts since
 // construction. Per-generation churn is the difference between two
 // consecutive readings.
-func (o *Omega) Churn() (inserts, evictions int) {
+func (o *optimalSet[G]) Churn() (inserts, evictions int) {
 	return o.inserts, o.evictions
 }
 
 // UpdateAll offers every individual and returns how many bins improved.
-func (o *Omega) UpdateAll(inds []Individual) int {
+func (o *optimalSet[G]) UpdateAll(inds []individual[G]) int {
 	changed := 0
 	for _, ind := range inds {
 		if o.Update(ind) {
@@ -125,7 +139,7 @@ func (o *Omega) UpdateAll(inds []Individual) int {
 // and returns how many bins improved. Unlike UpdateAll over src.Snapshot()
 // it clones nothing up front — only entries that actually land in a bin pay
 // for a copy — which keeps the island-model epoch fold cheap.
-func (o *Omega) Fold(src *Omega) int {
+func (o *optimalSet[G]) Fold(src *optimalSet[G]) int {
 	changed := 0
 	for _, b := range src.bins {
 		if b != nil && o.Update(*b) {
@@ -139,7 +153,7 @@ func (o *Omega) Fold(src *Omega) int {
 // each archive member whose privacy bin holds a strictly better (lower
 // utility) Ω entry is replaced by a clone of that entry. It returns the
 // number of replacements.
-func (o *Omega) ImproveArchive(archive []Individual) int {
+func (o *optimalSet[G]) ImproveArchive(archive []individual[G]) int {
 	if !o.Enabled() {
 		return 0
 	}
@@ -148,7 +162,7 @@ func (o *Omega) ImproveArchive(archive []Individual) int {
 		i := o.binIndex(archive[k].Eval.Privacy)
 		best := o.bins[i]
 		if best != nil && best.Eval.Utility < archive[k].Eval.Utility {
-			archive[k] = Individual{Genome: best.Genome.Clone(), Eval: best.Eval}
+			archive[k] = individual[G]{Genome: best.Genome.Clone(), Eval: best.Eval}
 			replaced++
 		}
 	}
@@ -157,11 +171,11 @@ func (o *Omega) ImproveArchive(archive []Individual) int {
 
 // Snapshot returns the occupied entries (cloned), ordered by bin (ascending
 // privacy).
-func (o *Omega) Snapshot() []Individual {
-	var out []Individual
+func (o *optimalSet[G]) Snapshot() []individual[G] {
+	var out []individual[G]
 	for _, b := range o.bins {
 		if b != nil {
-			out = append(out, Individual{Genome: b.Genome.Clone(), Eval: b.Eval})
+			out = append(out, individual[G]{Genome: b.Genome.Clone(), Eval: b.Eval})
 		}
 	}
 	return out
@@ -169,11 +183,11 @@ func (o *Omega) Snapshot() []Individual {
 
 // FrontSnapshot returns the Pareto-optimal subset of the occupied entries,
 // sorted by ascending privacy — the paper's final output.
-func (o *Omega) FrontSnapshot() []Individual {
+func (o *optimalSet[G]) FrontSnapshot() []individual[G] {
 	refs := o.frontRefs()
-	out := make([]Individual, len(refs))
+	out := make([]individual[G], len(refs))
 	for i, ind := range refs {
-		out[i] = Individual{Genome: ind.Genome.Clone(), Eval: ind.Eval}
+		out[i] = individual[G]{Genome: ind.Genome.Clone(), Eval: ind.Eval}
 	}
 	return out
 }
@@ -184,8 +198,8 @@ func (o *Omega) FrontSnapshot() []Individual {
 // already hold the utility-best entry per privacy level, so an evenly
 // spaced pick is near-optimal at O(bins) cost. The returned genomes alias
 // the live bins and must be cloned before retention.
-func (o *Omega) spread(k int) []Individual {
-	var all []Individual
+func (o *optimalSet[G]) spread(k int) []individual[G] {
+	var all []individual[G]
 	for _, b := range o.bins {
 		if b != nil {
 			all = append(all, *b)
@@ -194,7 +208,7 @@ func (o *Omega) spread(k int) []Individual {
 	if len(all) <= k || k < 2 {
 		return all
 	}
-	out := make([]Individual, 0, k)
+	out := make([]individual[G], 0, k)
 	for j := 0; j < k; j++ {
 		out = append(out, all[j*(len(all)-1)/(k-1)])
 	}
@@ -204,8 +218,8 @@ func (o *Omega) spread(k int) []Individual {
 // frontRefs is FrontSnapshot without the clones: the returned genomes alias
 // the live bins, so callers must either not retain them past the next Update
 // or clone what they keep.
-func (o *Omega) frontRefs() []Individual {
-	var all []Individual
+func (o *optimalSet[G]) frontRefs() []individual[G] {
+	var all []individual[G]
 	for _, b := range o.bins {
 		if b != nil {
 			all = append(all, *b)
@@ -216,7 +230,7 @@ func (o *Omega) frontRefs() []Individual {
 		pts[i] = ind.Point()
 	}
 	idx := pareto.Front(pts)
-	out := make([]Individual, 0, len(idx))
+	out := make([]individual[G], 0, len(idx))
 	for _, i := range idx {
 		out = append(out, all[i])
 	}

@@ -274,35 +274,49 @@ func (c Config) Validate() error {
 	if len(c.Prior) < 2 {
 		return fmt.Errorf("%w: prior must have at least 2 categories", ErrBadConfig)
 	}
-	var sum float64
-	for i, v := range c.Prior {
-		if v < 0 || math.IsNaN(v) {
-			return fmt.Errorf("%w: prior[%d] = %v", ErrBadConfig, i, v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("%w: prior sums to %v", ErrBadConfig, sum)
-	}
-	if c.Records <= 0 {
-		return fmt.Errorf("%w: records = %d", ErrBadConfig, c.Records)
-	}
-	if c.Delta <= 0 || c.Delta > 1 {
-		return fmt.Errorf("%w: delta = %v outside (0, 1]", ErrBadConfig, c.Delta)
-	}
-	if metrics.BoundFloor(c.Prior) > c.Delta+1e-12 {
-		return fmt.Errorf("%w: delta = %v, prior mode = %v", ErrInfeasibleBound, c.Delta, metrics.BoundFloor(c.Prior))
-	}
-	if c.PopulationSize < 0 || c.ArchiveSize < 0 || c.Generations < 0 || c.OmegaSize < 0 {
-		return fmt.Errorf("%w: negative size", ErrBadConfig)
-	}
-	if c.MutationRate < 0 || c.MutationRate > 1 {
-		return fmt.Errorf("%w: mutation rate %v outside [0, 1]", ErrBadConfig, c.MutationRate)
+	if err := validateSearch("prior", c.Prior, c.Records, c.Delta, c.MutationRate,
+		c.PopulationSize, c.ArchiveSize, c.Generations, c.OmegaSize); err != nil {
+		return err
 	}
 	if c.Islands < 0 || c.MigrateEvery < 0 || c.MigrationSize < 0 {
 		return fmt.Errorf("%w: negative island parameter", ErrBadConfig)
 	}
 	return validateObjectives(c.Objectives)
+}
+
+// validateSearch holds the checks the single- and multi-attribute searches
+// share: dist (named what in messages) is a probability distribution,
+// records and delta are usable, delta clears the distribution's mode
+// (Theorem 5), the mutation rate is a probability and no size is negative.
+func validateSearch(what string, dist []float64, records int, delta, mutationRate float64, sizes ...int) error {
+	var sum float64
+	for i, v := range dist {
+		if v < 0 || math.IsNaN(v) {
+			return fmt.Errorf("%w: %s[%d] = %v", ErrBadConfig, what, i, v)
+		}
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-6 {
+		return fmt.Errorf("%w: %s sums to %v", ErrBadConfig, what, sum)
+	}
+	if records <= 0 {
+		return fmt.Errorf("%w: records = %d", ErrBadConfig, records)
+	}
+	if delta <= 0 || delta > 1 {
+		return fmt.Errorf("%w: delta = %v outside (0, 1]", ErrBadConfig, delta)
+	}
+	if floor := metrics.BoundFloor(dist); floor > delta+1e-12 {
+		return fmt.Errorf("%w: delta = %v, %s mode = %v", ErrInfeasibleBound, delta, what, floor)
+	}
+	for _, s := range sizes {
+		if s < 0 {
+			return fmt.Errorf("%w: negative size", ErrBadConfig)
+		}
+	}
+	if mutationRate < 0 || mutationRate > 1 {
+		return fmt.Errorf("%w: mutation rate %v outside [0, 1]", ErrBadConfig, mutationRate)
+	}
+	return nil
 }
 
 // validateObjectives checks an extra-objective list: bounded by the Point
@@ -444,11 +458,53 @@ func (res Result) Matrices() ([]*rr.Matrix, error) {
 	return out, nil
 }
 
-// Optimizer runs the paper's SPEA2-based search. Construct with New.
+// Optimizer runs the paper's SPEA2-based search for one attribute: the
+// generation engine over Genomes, with the Optimizer itself as the problem
+// definition. Construct with New.
 type Optimizer struct {
+	engine[Genome]
+
+	// workers holds one evaluation workspace per configured worker.
+	workers []*workerScratch
+	// seedGenomes, when non-nil, is injected at the head of the initial
+	// population before the random fill — the island scheduler's
+	// closed-form anchors. Never set on the plain serial path.
+	seedGenomes []Genome
+}
+
+// problem is what the generation engine needs to know about a search over
+// genomes of type G. The single-attribute search (Optimizer, over Genome) and
+// the multi-attribute one (multiProblem, over tuple) are its two definitions.
+type problem[G any] interface {
+	// randomGenome draws a fresh random genome.
+	randomGenome(r *randx.Source) G
+	// crossover recombines two parents into two new children.
+	crossover(a, b G, r *randx.Source) (G, G, error)
+	// mutate applies one mutation in place.
+	mutate(g G, r *randx.Source)
+	// project maps a genome onto the searched subspace in place, or does
+	// nothing.
+	project(g G)
+	// initialPopulation returns the genomes of Q_0.
+	initialPopulation(size int, r *randx.Source) []G
+	// realizeGenome repairs g against the bound and evaluates it on worker
+	// w's exclusive scratch. Calls with distinct w run concurrently.
+	realizeGenome(g G, w int) (individual[G], genomeOutcome)
+	// referenceUtility is the utility of the hypervolume reference point.
+	referenceUtility() float64
+	// backfill reports whether the three-set update also runs in reverse
+	// (Omega.ImproveArchive).
+	backfill() bool
+}
+
+// engine is the generation loop of Section V-A over genomes of type G. It
+// owns the search state and its observability; the problem supplies
+// everything that depends on the genome.
+type engine[G cloner[G]] struct {
 	cfg   Config
+	prob  problem[G]
 	rng   *randx.Source
-	omega *Omega
+	omega *optimalSet[G]
 
 	evaluations int
 
@@ -468,29 +524,22 @@ type Optimizer struct {
 	// Progress callbacks must not retain Stats slices without Clone.
 	frontBuf []pareto.Point
 	// tally accumulates per-generation repair/redraw/reject counts inside
-	// realize; Run resets it at the top of every generation.
+	// realize; stepGeneration resets it at the top of every generation.
 	tally generationTally
 	// fitnessDur/truncateDur accumulate, when timed, the wall time of the
 	// generation's SPEA2 fitness assignments and environmental selection
 	// (truncation) — the sub-phases of "select" whose kernels parallelize
-	// across Workers. Run resets them with the tally.
+	// across Workers. stepGeneration resets them with the tally.
 	fitnessDur  time.Duration
 	truncateDur time.Duration
 
 	// Hot-path scratch, persistent across generations. emooScratch backs
-	// SPEA2 fitness/selection; workers holds one evaluation workspace per
-	// configured worker; unionBuf/unionPts/outcomes are the per-generation
-	// population ∪ archive buffers.
+	// SPEA2 fitness/selection; unionBuf/unionPts/outcomes are the
+	// per-generation population ∪ archive buffers.
 	emooScratch *emoo.Scratch
-	workers     []*workerScratch
-	unionBuf    []Individual
+	unionBuf    []individual[G]
 	unionPts    []pareto.Point
 	outcomes    []genomeOutcome
-
-	// seedGenomes, when non-nil, is injected at the head of the initial
-	// population before the random fill — the island scheduler's
-	// closed-form anchors. Never set on the plain serial path.
-	seedGenomes []Genome
 }
 
 // generationTally counts the feasibility work done by one generation's
@@ -508,24 +557,30 @@ func New(cfg Config) (*Optimizer, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	o := &Optimizer{workers: make([]*workerScratch, cfg.Workers)}
+	for i := range o.workers {
+		o.workers[i] = newWorkerScratch()
+	}
+	o.engine = newEngine[Genome](cfg, o)
+	return o, nil
+}
+
+// newEngine returns an engine for a configuration with defaults applied.
+func newEngine[G cloner[G]](cfg Config, prob problem[G]) engine[G] {
 	rec := obs.OrNop(cfg.Recorder)
 	met := newOptimizerMetrics(cfg.Metrics)
-	workers := make([]*workerScratch, cfg.Workers)
-	for i := range workers {
-		workers[i] = newWorkerScratch()
-	}
-	return &Optimizer{
+	return engine[G]{
 		cfg:         cfg,
+		prob:        prob,
 		rng:         randx.New(cfg.Seed),
-		omega:       NewOmega(cfg.OmegaSize),
+		omega:       newOptimalSet[G](cfg.OmegaSize),
 		rec:         rec,
 		met:         met,
 		observed:    cfg.Progress != nil || rec.Enabled() || met != nil,
 		timed:       rec.Enabled() || met != nil,
 		conv:        newConvergenceTracker(cfg.StagnationLimit),
 		emooScratch: emoo.NewScratch(),
-		workers:     workers,
-	}, nil
+	}
 }
 
 // Run executes the optimization loop of Section V-A:
@@ -550,28 +605,155 @@ func (o *Optimizer) Run() (Result, error) {
 		return Result{}, cancelError(0, err)
 	}
 	o.emitStart()
-	st, err := o.begin()
+	rs, err := o.search()
 	if err != nil {
 		return Result{}, err
 	}
-	for st.gen < o.cfg.Generations {
-		done, err := o.stepGeneration(st)
-		if err != nil {
-			return Result{}, err
-		}
-		if done {
-			break
-		}
+	res := Result{
+		Front:       o.front(rs.archive),
+		Archive:     rs.archive,
+		Generations: rs.gen,
+		Evaluations: o.evaluations,
+		Stagnated:   rs.stagnated,
 	}
-	return o.finish(st), st.cancelErr
+	o.emitDone(res, rs.wallStart)
+	return res, rs.cancelErr
 }
 
-// runState is one search's loop state between generations. Run drives it
+// randomGenome draws a flat-Dirichlet genome.
+func (o *Optimizer) randomGenome(r *randx.Source) Genome {
+	return NewRandomGenome(len(o.cfg.Prior), r)
+}
+
+// crossover is the paper's column-cut crossover.
+func (o *Optimizer) crossover(a, b Genome, r *randx.Source) (Genome, Genome, error) {
+	return Crossover(a, b, r)
+}
+
+// mutate applies the configured mutation style at full scale.
+func (o *Optimizer) mutate(g Genome, r *randx.Source) {
+	Mutate(g, o.cfg.MutationStyle, 1, r)
+}
+
+// project symmetrizes under SymmetricOnly.
+func (o *Optimizer) project(g Genome) {
+	if o.cfg.SymmetricOnly {
+		g.Symmetrize()
+	}
+}
+
+// initialPopulation is Q_0: any injected seed genomes first (island mode's
+// closed-form anchors; nil for the plain search, which stays purely random),
+// random genomes for the rest.
+func (o *Optimizer) initialPopulation(size int, r *randx.Source) []Genome {
+	genomes := make([]Genome, 0, size)
+	for _, g := range o.seedGenomes {
+		if len(genomes) >= size {
+			break
+		}
+		genomes = append(genomes, g)
+	}
+	for len(genomes) < size {
+		genomes = append(genomes, o.randomGenome(r))
+	}
+	return genomes
+}
+
+// realizeGenome repairs (or, under BoundReject, screens) g and evaluates it
+// through worker w's persistent workerScratch: the fused privacy/utility
+// evaluation, the extra objectives, and PrivacyFn when set.
+func (o *Optimizer) realizeGenome(g Genome, w int) (Individual, genomeOutcome) {
+	cfg := o.cfg
+	sc := o.workers[w]
+	var c genomeOutcome
+	var m *rr.Matrix
+	switch cfg.BoundMode {
+	case BoundReject:
+		var err error
+		m, err = sc.matrixFor(g)
+		if err != nil {
+			return Individual{}, c
+		}
+		holds, err := sc.ws.MeetsBound(m, cfg.Prior, cfg.Delta)
+		if err != nil || !holds {
+			c.rejected = true
+			return Individual{}, c
+		}
+	default:
+		feasible, rst := meetBoundStats(g, cfg.Prior, cfg.Delta, cfg.SymmetricOnly, sc.slackFor(g.N()))
+		c.repaired = rst.Rounds > 0 || rst.Blended
+		c.pushBack = rst.PushBack
+		if !feasible {
+			return Individual{}, c
+		}
+		var err error
+		m, err = sc.matrixFor(g)
+		if err != nil {
+			return Individual{}, c
+		}
+	}
+	ev, err := sc.ws.Evaluate(m, cfg.Prior, cfg.Records)
+	if err != nil {
+		return Individual{}, c // singular: inversion utility undefined
+	}
+	// Extra objectives run while the workspace still holds this matrix's
+	// P* and inverse; a failing objective voids the individual like a
+	// singular matrix does.
+	ev.Extra, err = evalExtras(sc.ws, m, cfg.Prior, cfg.Records, cfg.Objectives)
+	if err != nil {
+		return Individual{}, c
+	}
+	if cfg.PrivacyFn != nil {
+		priv, err := cfg.PrivacyFn(m, cfg.Prior)
+		if err != nil {
+			return Individual{}, c
+		}
+		ev.Privacy = priv
+	}
+	c.ok = true
+	return Individual{Genome: g, Eval: ev}, c
+}
+
+// referenceUtility is the hypervolume reference: the utility of the noisiest
+// evaluable Warner matrix, doubled.
+func (o *Optimizer) referenceUtility() float64 {
+	return warnerReference([]int{len(o.cfg.Prior)}, func(ms []*rr.Matrix) (float64, error) {
+		return metrics.Utility(ms[0], o.cfg.Prior, o.cfg.Records)
+	})
+}
+
+// backfill is on: the single-attribute search runs the paper's full
+// three-set update.
+func (o *Optimizer) backfill() bool { return true }
+
+// warnerReference returns twice the utility of the noisiest Warner scheme —
+// the same diagonal on every attribute, over sizes — that utility can
+// evaluate: an upper anchor for MSE scale. Falls back to 1 if none can be.
+func warnerReference(sizes []int, utility func(ms []*rr.Matrix) (float64, error)) float64 {
+	ms := make([]*rr.Matrix, len(sizes))
+	for _, p := range []float64{0.3, 0.4, 0.5, 0.6} {
+		var err error
+		for d, n := range sizes {
+			if ms[d], err = rr.Warner(n, p); err != nil {
+				break
+			}
+		}
+		if err != nil {
+			continue
+		}
+		if u, err := utility(ms); err == nil {
+			return u * 2
+		}
+	}
+	return 1
+}
+
+// runState is one search's loop state between generations. search drives it
 // straight through the generation budget; the island scheduler advances W of
 // them a migration interval at a time.
-type runState struct {
-	population []Individual
-	archive    []Individual
+type runState[G any] struct {
+	population []individual[G]
+	archive    []individual[G]
 	gen        int  // completed generations
 	stagnant   int  // consecutive generations without Ω improvement
 	stagnated  bool // stopped on the stagnation criterion
@@ -580,29 +762,51 @@ type runState struct {
 	wallStart  time.Time
 }
 
-// begin seeds the initial population and prepares the loop state. It does
-// not emit the start event — island mode emits one start per island through
-// the tagged recorder, so emission stays with the caller.
-func (o *Optimizer) begin() (*runState, error) {
-	st := &runState{}
+// search runs one population through the generation budget, stopping early
+// on cancellation (recorded in the state's cancelErr) or Ω stagnation.
+func (o *engine[G]) search() (*runState[G], error) {
+	rs, err := o.begin()
+	if err != nil {
+		return nil, err
+	}
+	for rs.gen < o.cfg.Generations {
+		done, err := o.stepGeneration(rs)
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			break
+		}
+	}
+	return rs, nil
+}
+
+// begin seeds the initial population, projected and realized, and prepares
+// the loop state. It does not emit the start event — island mode emits one
+// start per island through the tagged recorder, so emission stays with the
+// caller.
+func (o *engine[G]) begin() (*runState[G], error) {
+	st := &runState[G]{}
 	if o.timed {
 		st.wallStart = time.Now()
 	}
-	population, err := o.seedPopulation()
+	genomes := o.prob.initialPopulation(o.cfg.PopulationSize, o.rng)
+	for _, g := range genomes {
+		o.prob.project(g)
+	}
+	population, err := o.realize(genomes)
 	if err != nil {
 		return nil, err
 	}
 	st.population = population
-	st.refUtility = o.referenceUtility()
+	st.refUtility = o.prob.referenceUtility()
 	return st, nil
 }
 
 // stepGeneration advances the search by one generation. It returns done
 // when the run should stop early — cancellation (recorded in rs.cancelErr)
-// or Ω stagnation — and a non-nil error only for fatal failures. The
-// generation counter advances exactly as the monolithic loop did, so a
-// sequence of steps is bit-for-bit the pre-refactor Run.
-func (o *Optimizer) stepGeneration(rs *runState) (bool, error) {
+// or Ω stagnation — and a non-nil error only for fatal failures.
+func (o *engine[G]) stepGeneration(rs *runState[G]) (bool, error) {
 	cfg := o.cfg
 	gen := rs.gen
 	population, archive := rs.population, rs.archive
@@ -647,7 +851,7 @@ func (o *Optimizer) stepGeneration(rs *runState) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		nextArchive := make([]Individual, len(selIdx))
+		nextArchive := make([]individual[G], len(selIdx))
 		for k, i := range selIdx {
 			nextArchive[k] = union[i]
 		}
@@ -676,34 +880,30 @@ func (o *Optimizer) stepGeneration(rs *runState) (bool, error) {
 		// immigrant quota keeps exploration pressure away from the current
 		// front.
 		immigrants := int(cfg.ImmigrantFraction * float64(cfg.PopulationSize))
-		genomes := make([]Genome, 0, cfg.PopulationSize)
+		genomes := make([]G, 0, cfg.PopulationSize)
 		for len(genomes) < cfg.PopulationSize-immigrants {
 			ia := emoo.BinaryTournament(archiveFit, o.rng)
 			ib := emoo.BinaryTournament(archiveFit, o.rng)
-			c1, c2, err := Crossover(nextArchive[ia].Genome, nextArchive[ib].Genome, o.rng)
+			c1, c2, err := o.prob.crossover(nextArchive[ia].Genome, nextArchive[ib].Genome, o.rng)
 			if err != nil {
 				return false, err
 			}
-			for _, child := range []Genome{c1, c2} {
+			for _, child := range []G{c1, c2} {
 				if len(genomes) >= cfg.PopulationSize-immigrants {
 					break
 				}
 				if o.rng.Float64() < cfg.MutationRate {
 					for k := 0; k < cfg.MutationsPerChild; k++ {
-						Mutate(child, cfg.MutationStyle, 1, o.rng)
+						o.prob.mutate(child, o.rng)
 					}
 				}
-				if cfg.SymmetricOnly {
-					child.Symmetrize()
-				}
+				o.prob.project(child)
 				genomes = append(genomes, child)
 			}
 		}
 		for len(genomes) < cfg.PopulationSize {
-			g := NewRandomGenome(len(cfg.Prior), o.rng)
-			if cfg.SymmetricOnly {
-				g.Symmetrize()
-			}
+			g := o.prob.randomGenome(o.rng)
+			o.prob.project(g)
 			genomes = append(genomes, g)
 		}
 		lap(phaseVary)
@@ -717,7 +917,10 @@ func (o *Optimizer) stepGeneration(rs *runState) (bool, error) {
 		// Three-set update (Section V-H).
 		improved := o.omega.UpdateAll(nextPopulation)
 		improved += o.omega.UpdateAll(nextArchive)
-		backfilled := o.omega.ImproveArchive(nextArchive)
+		backfilled := 0
+		if o.prob.backfill() {
+			backfilled = o.omega.ImproveArchive(nextArchive)
+		}
 		lap(phaseOmega)
 
 		population = nextPopulation
@@ -765,39 +968,29 @@ func (o *Optimizer) stepGeneration(rs *runState) (bool, error) {
 	return false, nil
 }
 
-// finish folds the loop state into the run's Result and emits the done
-// event.
-func (o *Optimizer) finish(rs *runState) Result {
-	archive := rs.archive
-	front := o.omega.FrontSnapshot()
-	if !o.omega.Enabled() {
-		// Ablation mode: the archive itself is the output set.
-		archPts := make([]pareto.Point, len(archive))
-		for i, ind := range archive {
-			archPts[i] = ind.Point()
-		}
-		idx := pareto.Front(archPts)
-		front = make([]Individual, 0, len(idx))
-		for _, i := range idx {
-			front = append(front, Individual{Genome: archive[i].Genome.Clone(), Eval: archive[i].Eval})
-		}
+// front is the search's output set: the Pareto-optimal members of Ω, or of
+// archive when Ω is disabled (the ablation), cloned.
+func (o *engine[G]) front(archive []individual[G]) []individual[G] {
+	if o.omega.Enabled() {
+		return o.omega.FrontSnapshot()
 	}
-	res := Result{
-		Front:       front,
-		Archive:     archive,
-		Generations: rs.gen,
-		Evaluations: o.evaluations,
-		Stagnated:   rs.stagnated,
+	pts := make([]pareto.Point, len(archive))
+	for i, ind := range archive {
+		pts[i] = ind.Point()
 	}
-	o.emitDone(res, rs.wallStart)
-	return res
+	idx := pareto.Front(pts)
+	out := make([]individual[G], 0, len(idx))
+	for _, i := range idx {
+		out = append(out, individual[G]{Genome: archive[i].Genome.Clone(), Eval: archive[i].Eval})
+	}
+	return out
 }
 
 // assignFitness computes the configured engine's fitness over points. The
-// SPEA2 path runs on the optimizer's persistent scratch: the returned
-// Fitness aliases it and is valid until the next assignFitness or
-// selectEnvironment call.
-func (o *Optimizer) assignFitness(pts []pareto.Point) emoo.Fitness {
+// SPEA2 path runs on the engine's persistent scratch: the returned Fitness
+// aliases it and is valid until the next assignFitness or selectEnvironment
+// call.
+func (o *engine[G]) assignFitness(pts []pareto.Point) emoo.Fitness {
 	if o.cfg.Engine == EngineNSGA2 {
 		return emoo.NSGA2Fitness(pts)
 	}
@@ -815,7 +1008,7 @@ func (o *Optimizer) assignFitness(pts []pareto.Point) emoo.Fitness {
 // selectEnvironment runs the configured engine's environmental selection.
 // The returned index slice aliases the scratch and must be consumed before
 // the next scratch call.
-func (o *Optimizer) selectEnvironment(pts []pareto.Point) ([]int, error) {
+func (o *engine[G]) selectEnvironment(pts []pareto.Point) ([]int, error) {
 	if o.cfg.Engine == EngineNSGA2 {
 		return emoo.NSGA2Select(pts, o.cfg.ArchiveSize)
 	}
@@ -831,114 +1024,20 @@ func (o *Optimizer) selectEnvironment(pts []pareto.Point) ([]int, error) {
 	return sel, err
 }
 
-// referenceUtility is the hypervolume reference: the closed-form utility of
-// the noisiest feasible Warner matrix, an upper anchor for MSE scale. Falls
-// back to 1 if none is available.
-func (o *Optimizer) referenceUtility() float64 {
-	n := len(o.cfg.Prior)
-	for _, p := range []float64{0.3, 0.4, 0.5, 0.6} {
-		m, err := rr.Warner(n, p)
-		if err != nil {
-			continue
-		}
-		if u, err := metrics.Utility(m, o.cfg.Prior, o.cfg.Records); err == nil {
-			return u * 2
-		}
-	}
-	return 1
-}
-
-// seedPopulation builds the initial population Q_0: any injected seed
-// genomes first (island mode's closed-form anchors; nil for the plain
-// search, which stays purely random and bit-for-bit unchanged), random
-// genomes for the rest, everything repaired (or re-drawn) until feasible.
-func (o *Optimizer) seedPopulation() ([]Individual, error) {
-	n := len(o.cfg.Prior)
-	genomes := make([]Genome, 0, o.cfg.PopulationSize)
-	for _, g := range o.seedGenomes {
-		if len(genomes) >= o.cfg.PopulationSize {
-			break
-		}
-		if o.cfg.SymmetricOnly {
-			g.Symmetrize()
-		}
-		genomes = append(genomes, g)
-	}
-	for len(genomes) < o.cfg.PopulationSize {
-		g := NewRandomGenome(n, o.rng)
-		if o.cfg.SymmetricOnly {
-			g.Symmetrize()
-		}
-		genomes = append(genomes, g)
-	}
-	return o.realize(genomes)
-}
-
 // realize repairs, evaluates and — where evaluation is impossible (singular
 // matrix, unrepairable bound) — replaces genomes with fresh random feasible
 // ones. Repair and evaluation are pure, so they run on a worker pool, each
-// worker evaluating through its own persistent workerScratch; genome
-// replacement draws from the sequential RNG to keep runs deterministic.
-func (o *Optimizer) realize(genomes []Genome) ([]Individual, error) {
+// worker evaluating through its own persistent scratch; genome replacement
+// draws from the sequential RNG to keep runs deterministic.
+func (o *engine[G]) realize(genomes []G) ([]individual[G], error) {
 	cfg := o.cfg
-	out := make([]Individual, len(genomes))
+	out := make([]individual[G], len(genomes))
 	if cap(o.outcomes) < len(genomes) {
 		o.outcomes = make([]genomeOutcome, len(genomes))
 	}
 	oc := o.outcomes[:len(genomes)]
-
-	process := func(g Genome, sc *workerScratch) (Individual, genomeOutcome) {
-		var c genomeOutcome
-		var m *rr.Matrix
-		switch cfg.BoundMode {
-		case BoundReject:
-			var err error
-			m, err = sc.matrixFor(g)
-			if err != nil {
-				return Individual{}, c
-			}
-			holds, err := sc.ws.MeetsBound(m, cfg.Prior, cfg.Delta)
-			if err != nil || !holds {
-				c.rejected = true
-				return Individual{}, c
-			}
-		default:
-			feasible, rst := meetBoundStats(g, cfg.Prior, cfg.Delta, cfg.SymmetricOnly, sc.slackFor(g.N()))
-			c.repaired = rst.Rounds > 0 || rst.Blended
-			c.pushBack = rst.PushBack
-			if !feasible {
-				return Individual{}, c
-			}
-			var err error
-			m, err = sc.matrixFor(g)
-			if err != nil {
-				return Individual{}, c
-			}
-		}
-		ev, err := sc.ws.Evaluate(m, cfg.Prior, cfg.Records)
-		if err != nil {
-			return Individual{}, c // singular: inversion utility undefined
-		}
-		// Extra objectives run while the workspace still holds this matrix's
-		// P* and inverse; a failing objective voids the individual like a
-		// singular matrix does.
-		ev.Extra, err = evalExtras(sc.ws, m, cfg.Prior, cfg.Records, cfg.Objectives)
-		if err != nil {
-			return Individual{}, c
-		}
-		if cfg.PrivacyFn != nil {
-			priv, err := cfg.PrivacyFn(m, cfg.Prior)
-			if err != nil {
-				return Individual{}, c
-			}
-			ev.Privacy = priv
-		}
-		c.ok = true
-		return Individual{Genome: g, Eval: ev}, c
-	}
-
 	o.parallelFor(len(genomes), func(w, i int) {
-		out[i], oc[i] = process(genomes[i], o.workers[w])
+		out[i], oc[i] = o.prob.realizeGenome(genomes[i], w)
 	})
 	o.evaluations += len(genomes)
 	for i := range oc {
@@ -956,11 +1055,9 @@ func (o *Optimizer) realize(genomes []Genome) ([]Individual, error) {
 			if redraws++; redraws > maxRedraws {
 				return nil, fmt.Errorf("%w: could not generate a feasible matrix for delta=%v", ErrInfeasibleBound, cfg.Delta)
 			}
-			g := NewRandomGenome(len(cfg.Prior), o.rng)
-			if cfg.SymmetricOnly {
-				g.Symmetrize()
-			}
-			out[i], oc[i] = process(g, o.workers[0])
+			g := o.prob.randomGenome(o.rng)
+			o.prob.project(g)
+			out[i], oc[i] = o.prob.realizeGenome(g, 0)
 			o.evaluations++
 			o.tally.redraws++
 			o.tally.add(oc[i])
@@ -992,16 +1089,8 @@ func (t *generationTally) add(c genomeOutcome) {
 // count. The worker index identifies which goroutine is calling, so callers
 // can hand each goroutine exclusive scratch state; the index partition never
 // affects results because scratch contents are overwritten per item.
-func (o *Optimizer) parallelFor(n int, fn func(worker, i int)) {
-	parallelWork(o.cfg.Workers, n, fn)
-}
-
-// parallelWork is the shared work-distribution kernel behind the 1-D and
-// multi-attribute realizes: fn(worker, i) for i in [0, n) across the given
-// worker count, with the worker index naming the calling goroutine so each
-// can own exclusive scratch. Results must be written to per-index slots; the
-// dynamic item-to-worker assignment then never affects outputs.
-func parallelWork(workers, n int, fn func(worker, i int)) {
+func (o *engine[G]) parallelFor(n int, fn func(worker, i int)) {
+	workers := o.cfg.Workers
 	if workers > n {
 		workers = n
 	}

@@ -70,10 +70,15 @@ func (c WeightedSumConfig) withDefaults() WeightedSumConfig {
 	return c
 }
 
+// singleConfig is the one-worker single-attribute configuration whose
+// problem definition realizes the baseline's genomes.
+func (c WeightedSumConfig) singleConfig() Config {
+	return Config{Prior: c.Prior, Records: c.Records, Delta: c.Delta, Objectives: c.Objectives, Workers: 1}
+}
+
 // Validate checks the configuration.
 func (c WeightedSumConfig) Validate() error {
-	probe := Config{Prior: c.Prior, Records: c.Records, Delta: c.Delta, Objectives: c.Objectives}
-	return probe.Validate()
+	return c.singleConfig().Validate()
 }
 
 // OptimizeWeightedSum sweeps weight vectors v over the objective simplex;
@@ -89,7 +94,8 @@ func (c WeightedSumConfig) Validate() error {
 // returned, making the comparison against the EMO as generous to the
 // baseline as possible. The returned Result mirrors Run's.
 func OptimizeWeightedSum(cfg WeightedSumConfig) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	single, err := New(cfg.singleConfig())
+	if err != nil {
 		return Result{}, err
 	}
 	if err := ctxErr(cfg.Context); err != nil {
@@ -103,26 +109,12 @@ func OptimizeWeightedSum(cfg WeightedSumConfig) (Result, error) {
 	extraRefs := weightedReferenceExtras(cfg)
 	evaluations := 0
 
-	// The sweep is sequential, so one scratch serves every evaluation.
-	sc := newWorkerScratch()
+	// Genomes are repaired and evaluated exactly as in the EMO, on the
+	// single-attribute problem's one worker: the sweep is sequential.
 	evaluate := func(g Genome) (Individual, bool) {
 		evaluations++
-		if ok, _ := meetBoundStats(g, cfg.Prior, cfg.Delta, false, sc.slackFor(n)); !ok {
-			return Individual{}, false
-		}
-		m, err := sc.matrixFor(g)
-		if err != nil {
-			return Individual{}, false
-		}
-		ev, err := sc.ws.Evaluate(m, cfg.Prior, cfg.Records)
-		if err != nil {
-			return Individual{}, false
-		}
-		ev.Extra, err = evalExtras(sc.ws, m, cfg.Prior, cfg.Records, cfg.Objectives)
-		if err != nil {
-			return Individual{}, false
-		}
-		return Individual{Genome: g, Eval: ev}, true
+		ind, c := single.realizeGenome(g, 0)
+		return ind, c.ok
 	}
 	// The utility term leads so that the two-term case reproduces the
 	// legacy w·(U/uRef) + (1−w)·(1−P) floating-point sequence exactly

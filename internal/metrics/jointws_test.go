@@ -118,6 +118,33 @@ func TestJointWorkspaceMatchesDenseOracle(t *testing.T) {
 	}
 }
 
+// TestJointWorkspaceOneTupleMatchesFused pins the d = 1 case of the factored
+// evaluator to the fused single-attribute Workspace, bit for bit: privacy,
+// utility and maximum posterior agree on every random matrix and prior. The
+// single-attribute search still keeps the fused path, which is faster per
+// evaluation (DESIGN.md §7).
+func TestJointWorkspaceOneTupleMatchesFused(t *testing.T) {
+	r := randx.New(7)
+	jws, ws := NewJointWorkspace(), NewWorkspace()
+	const records = 10000
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + r.Intn(9)
+		ms := randomTuple(t, r, []int{n})
+		prior := randomJoint(n, r)
+		want, werr := ws.Evaluate(ms[0], prior, records)
+		got, gerr := jws.Evaluate(ms, prior, records)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("trial %d (n=%d): fused err %v, factored err %v", trial, n, werr, gerr)
+		}
+		if werr != nil {
+			continue
+		}
+		if got.Privacy != want.Privacy || got.Utility != want.Utility || got.MaxPosterior != want.MaxPosterior {
+			t.Fatalf("trial %d (n=%d): factored %+v, fused %+v", trial, n, got, want)
+		}
+	}
+}
+
 // TestJointWorkspaceBeyondDenseCap pins the point of the factoring: a d=4
 // product space larger than maxJointCells evaluates fine through the
 // workspace while the dense oracle refuses it.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -105,25 +106,31 @@ func MarshalScheme(s Scheme) ([]byte, error) {
 	return json.Marshal(schemeEnvelope{Kind: s.Kind(), Scheme: payload})
 }
 
+// ErrBadScheme reports an envelope UnmarshalScheme cannot revive: malformed
+// JSON, a missing or unregistered kind, or a payload its kind's codec
+// rejects. The codec's own error stays wrapped beside it.
+var ErrBadScheme = errors.New("rr: invalid scheme envelope")
+
 // UnmarshalScheme revives a Scheme from its kind-tagged envelope, validating
-// through the registered codec for its kind.
+// through the registered codec for its kind. Every failure wraps
+// ErrBadScheme.
 func UnmarshalScheme(data []byte) (Scheme, error) {
 	var env schemeEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("rr: decoding scheme envelope: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrBadScheme, err)
 	}
 	if env.Kind == "" {
-		return nil, fmt.Errorf("rr: scheme envelope has no kind")
+		return nil, fmt.Errorf("%w: no kind", ErrBadScheme)
 	}
 	schemeCodecsMu.RLock()
 	decode := schemeCodecs[env.Kind]
 	schemeCodecsMu.RUnlock()
 	if decode == nil {
-		return nil, fmt.Errorf("rr: unknown scheme kind %q (registered: %v)", env.Kind, SchemeKinds())
+		return nil, fmt.Errorf("%w: unknown kind %q (registered: %v)", ErrBadScheme, env.Kind, SchemeKinds())
 	}
 	s, err := decode(env.Scheme)
 	if err != nil {
-		return nil, fmt.Errorf("rr: decoding %s scheme: %w", env.Kind, err)
+		return nil, fmt.Errorf("%w: decoding %s scheme: %w", ErrBadScheme, env.Kind, err)
 	}
 	return s, nil
 }

@@ -113,3 +113,52 @@ func FuzzCMSRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnmarshalScheme drives the kind-tagged envelope decoder with both
+// kinds registered: every input either fails with an error wrapping
+// rr.ErrBadScheme, or decodes to a scheme whose envelope decodes again to
+// the same version.
+func FuzzUnmarshalScheme(f *testing.F) {
+	dense, err := rr.Warner(4, 0.7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cms, err := NewKRR(64, 4, 8, 2, 9)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []rr.Scheme{dense, cms} {
+		env, err := rr.MarshalScheme(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(env)
+		f.Add(env[:len(env)/2])
+	}
+	f.Add([]byte(`{"kind":"nope","scheme":{}}`))
+	f.Add([]byte(`{"kind":"","scheme":{}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := rr.UnmarshalScheme(data)
+		if err != nil {
+			if !errors.Is(err, rr.ErrBadScheme) {
+				t.Fatalf("error does not wrap ErrBadScheme: %v", err)
+			}
+			return
+		}
+		env, err := rr.MarshalScheme(s)
+		if err != nil {
+			t.Fatalf("decoded %s scheme does not marshal: %v", s.Kind(), err)
+		}
+		back, err := rr.UnmarshalScheme(env)
+		if err != nil {
+			t.Fatalf("re-marshalled %s envelope rejected: %v", s.Kind(), err)
+		}
+		v, err := rr.SchemeVersion(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := rr.EnvelopeVersion(env); v != want {
+			t.Fatalf("%s round trip changed version %q -> %q", s.Kind(), want, v)
+		}
+	})
+}
