@@ -18,7 +18,9 @@
 #                  the single-P and multi-P schedules
 #   fuzz smoke     short -fuzz bursts on the sketch hash→disguise→debias
 #                  round trip (estimates stay finite and near-normalized for
-#                  arbitrary parameters), on the scheme-envelope decoder
+#                  arbitrary parameters, the full-domain scan equals
+#                  one-category point queries bit for bit, and Hash equals
+#                  a Div64 reference), on the scheme-envelope decoder
 #                  (every input is rejected as rr.ErrBadScheme or
 #                  round-trips to the same scheme version), on the collector
 #                  snapshot decoder (every input is rejected as
@@ -39,8 +41,9 @@
 #                  batch disguise, convergence-snapshot emission, histogram
 #                  quantiles) and
 #                  the collector contention matrix with the batched writer,
-#                  parallel ingest and the full-domain heavy-hitter scan
-#                  over a count-mean sketch, the rrapi batch-body codec
+#                  parallel ingest, the full-domain heavy-hitter scan and
+#                  the 8-category point query over a count-mean sketch, the
+#                  rrapi batch-body codec
 #                  against encoding/json (1000-report encode and decode), and
 #                  the rrserver HTTP batch-ingest path (with its p99 batch
 #                  latency as a custom metric), at pinned -benchtime/-count
@@ -123,6 +126,7 @@ go test -run '^$' -bench '^BenchmarkDisguise$' -benchtime=20x -count=1 -benchmem
 go test -run '^$' -bench '^BenchmarkCollectorContention' -benchtime=100000x -count=1 -benchmem ./internal/collector | tee -a BENCH_optimize.txt
 go test -run '^$' -bench '^BenchmarkSketchIngest$' -benchtime=100000x -count=1 -benchmem ./internal/collector | tee -a BENCH_optimize.txt
 go test -run '^$' -bench '^BenchmarkHeavyHitters$' -benchtime=20x -count=1 -benchmem ./internal/collector | tee -a BENCH_optimize.txt
+go test -run '^$' -bench '^BenchmarkSketchPointQuery$' -benchtime=200x -count=1 -benchmem ./internal/collector | tee -a BENCH_optimize.txt
 go test -run '^$' -bench '^BenchmarkBatchCodec$' -benchtime=2000x -count=1 -benchmem ./internal/rrapi | tee -a BENCH_optimize.txt
 go test -run '^$' -bench '^BenchmarkServerIngest$' -benchtime=100000x -count=1 -benchmem ./internal/rrserver | tee -a BENCH_optimize.txt
 # Render the benchmark lines ("BenchmarkName  iters  value unit ...") as a

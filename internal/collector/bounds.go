@@ -45,8 +45,10 @@ func boundsFor(scheme rr.Scheme) bounds {
 }
 
 // schemeBounds answers through the scheme's EstimateFrom — for the
-// count-mean sketch an O(k·m²) debias of the grid, then O(k) per category —
-// and takes half-widths from EstimateWithBound when the scheme has it.
+// count-mean sketch a point query debiases only the ≤ k cells each named
+// category hashes to, and the full domain debiases all k·m cells once, then
+// costs O(k) per category — and takes half-widths from EstimateWithBound
+// when the scheme has it.
 type schemeBounds struct {
 	scheme  rr.Scheme
 	bounded boundedEstimator // nil when the scheme states no bounds

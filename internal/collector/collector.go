@@ -238,25 +238,33 @@ func (c *Collector) ReportsForMargin(margin, z float64) (int, error) {
 
 // HeavyHitters returns the categories whose reconstructed frequency (the
 // Summary estimate) is at least threshold, sorted descending (ties by
-// category index), at most limit of them when limit > 0. It folds and
-// debiases the domain once, then runs mining's scan over that vector.
+// category index), at most limit of them when limit > 0. It is
+// ScanHeavyHitters without the report count.
 func (c *Collector) HeavyHitters(threshold float64, limit int) ([]mining.Frequent, error) {
+	hits, _, err := c.ScanHeavyHitters(threshold, limit)
+	return hits, err
+}
+
+// ScanHeavyHitters is HeavyHitters plus the number of reports the hits were
+// estimated from. It folds once and reconstructs the whole domain from that
+// fold — a sketch debiases each of its k·m cells once and then hashes every
+// category — then runs mining's scan over that vector.
+func (c *Collector) ScanHeavyHitters(threshold float64, limit int) (hits []mining.Frequent, reports int, err error) {
 	counts, total := c.fold()
 	if total == 0 {
-		return nil, ErrNoReports
+		return nil, 0, ErrNoReports
 	}
 	ests, err := c.bounds.reconstruct(counts, total)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	hits, err := mining.HeavyHitters(mining.Frequencies(ests), threshold)
-	if err != nil {
-		return nil, err
+	if hits, err = mining.HeavyHitters(mining.Frequencies(ests), threshold); err != nil {
+		return nil, 0, err
 	}
 	if limit > 0 && len(hits) > limit {
 		hits = hits[:limit]
 	}
-	return hits, nil
+	return hits, total, nil
 }
 
 // Merge folds a consistent view of other's counts into c, e.g. to combine

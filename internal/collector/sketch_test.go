@@ -255,8 +255,11 @@ func replaceFirst(s, old, new string) string {
 }
 
 // TestSketchCollectorConcurrentIngest drives single reports, batches, and
-// merges from many goroutines; the total and the per-query consistency must
-// hold under -race at any -cpu.
+// merges from many goroutines, with point queries and heavy-hitter scans
+// racing them; the total and the per-query consistency must hold under
+// -race at any -cpu. After each of its own batches lands, a worker's point
+// query must count at least the reports that worker has landed, and a scan
+// beside the ingest must succeed with finite estimates.
 func TestSketchCollectorConcurrentIngest(t *testing.T) {
 	s := testCMS(t, 10000, 8, 64)
 	c := New(s, 8)
@@ -266,11 +269,13 @@ func TestSketchCollectorConcurrentIngest(t *testing.T) {
 		perWorker  = 2000
 		batchSize  = 100
 		mergeCount = 500
+		scans      = 3
 	)
 	side := New(s, 2)
 	if err := side.IngestBatch(sketchReports(t, s, mergeCount, 99)); err != nil {
 		t.Fatal(err)
 	}
+	cats := []int{0, 1, 4, 9999}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -288,19 +293,46 @@ func TestSketchCollectorConcurrentIngest(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Interleaved consistent queries must always see whole batches.
-				if n := c.Count(); n%1 != 0 {
-					t.Error("impossible")
+				sum, err := c.Snapshot(3.29, cats...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if landed := i + 2*batchSize; sum.Reports < landed {
+					t.Errorf("worker %d landed %d reports, its query counts %d", w, landed, sum.Reports)
+					return
+				}
+				if len(sum.Estimate) != len(cats) || len(sum.HalfWidth) != len(cats) {
+					t.Errorf("point query returned %d estimates, %d half-widths", len(sum.Estimate), len(sum.HalfWidth))
 					return
 				}
 			}
 		}(w)
 	}
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		if err := c.Merge(side); err != nil {
 			t.Error(err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < scans; i++ {
+			hits, err := c.HeavyHitters(0, 5)
+			if errors.Is(err, ErrNoReports) {
+				continue
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, h := range hits {
+				if math.IsNaN(h.Estimate) || math.IsInf(h.Estimate, 0) {
+					t.Errorf("heavy hitter %+v", h)
+					return
+				}
+			}
 		}
 	}()
 	wg.Wait()
@@ -369,6 +401,25 @@ func BenchmarkHeavyHitters(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.HeavyHitters(0.05, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSketchPointQuery is the read /v1/estimate?categories= serves:
+// an 8-category Snapshot with half-widths over BenchmarkHeavyHitters'
+// deployment.
+func BenchmarkSketchPointQuery(b *testing.B) {
+	s := testCMS(b, 100000, 16, 256)
+	c := New(s, 0)
+	if err := c.IngestBatch(sketchReports(b, s, 100000, 1)); err != nil {
+		b.Fatal(err)
+	}
+	cats := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Snapshot(3.29, cats...); err != nil {
 			b.Fatal(err)
 		}
 	}

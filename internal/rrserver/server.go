@@ -506,7 +506,8 @@ func parseCategories(raw string, domain int) ([]int, error) {
 // (ties by category index); ?limit= caps the result. Over a sketch it is the
 // paper-motivating query (frequent categories without a dense
 // reconstruction); over a dense matrix it ranks the clipped full-domain
-// estimate /v1/estimate serves.
+// estimate /v1/estimate serves. The response's reports is the count of the
+// one fold the hits were estimated from.
 func (s *Server) handleHeavyHitters(w http.ResponseWriter, r *http.Request) {
 	rawThr := r.URL.Query().Get("threshold")
 	if rawThr == "" {
@@ -526,13 +527,13 @@ func (s *Server) handleHeavyHitters(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	hits, err := s.col.HeavyHitters(threshold, limit)
+	hits, reports, err := s.col.ScanHeavyHitters(threshold, limit)
 	if err != nil {
 		s.writeError(w, statusFor(err), err)
 		return
 	}
 	resp := rrapi.HeavyHittersResponse{
-		Reports:   s.col.Count(),
+		Reports:   reports,
 		Threshold: threshold,
 		Hits:      make([]rrapi.HeavyHitter, len(hits)),
 	}

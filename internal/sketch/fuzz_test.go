@@ -14,9 +14,11 @@ import (
 // (hash_range, k, domain, ε) combinations must return errors, never panic —
 // then folded into a valid range where the pipeline invariants must hold:
 // every estimate finite, each row's debiased cell estimates summing to
-// exactly zero mass above the 1/m collision floor, and the full-domain
-// estimates summing to ≈ 1. The scheme must also survive a JSON round trip
-// with its version fingerprint intact.
+// exactly zero mass above the 1/m collision floor, the full-domain
+// estimates summing to ≈ 1, the full-domain scan agreeing bit for bit with
+// one-category point queries, and Hash agreeing with a Div64 reference, also
+// with coefficients and values next to the prime. The scheme must also
+// survive a JSON round trip with its version fingerprint intact.
 func FuzzCMSRoundTrip(f *testing.F) {
 	f.Add(uint16(100), uint8(4), uint8(32), uint8(40), uint64(1), uint64(2))
 	f.Add(uint16(2000), uint8(16), uint8(255), uint8(10), uint64(42), uint64(7))
@@ -91,6 +93,34 @@ func FuzzCMSRoundTrip(f *testing.F) {
 				sum, domain, k, m, eps)
 		}
 
+		// The full-domain scan steps the affine hash stage from category to
+		// category; a point query hashes each category afresh. Both must give
+		// every category the same estimate and bound, bit for bit — also with
+		// coefficients next to the prime, where the stepped sum wraps at
+		// nearly every step (row 0), and where it lands exactly on the prime
+		// at category 1 (row 1). There Hash must also keep matching the Div64
+		// reference, for values up to the prime.
+		fullMatchesPoint(t, s, counts, ests, bounds)
+		edge := *s
+		edge.a = append([]uint64(nil), s.a...)
+		edge.b = append([]uint64(nil), s.b...)
+		edge.a[0] = hashPrime - 1 - hashSeed%8
+		edge.b[0] = hashPrime - 1 - dataSeed%8
+		edge.a[1] = 1 + hashSeed>>61
+		edge.b[1] = hashPrime - edge.a[1]
+		for _, x := range []uint64{0, 1, uint64(domain) - 1, 1 << 60, hashPrime - 2 - dataSeed%8, hashPrime - 2} {
+			for j := 0; j < 2; j++ {
+				if got, want := edge.Hash(j, int(x)), refHash(edge.a[j], edge.b[j], m, x); got != want {
+					t.Fatalf("Hash(%d, %d) = %d with a=%d b=%d, want %d", j, x, got, edge.a[j], edge.b[j], want)
+				}
+			}
+		}
+		edgeEsts, edgeBounds, err := edge.EstimateWithBound(counts, nil, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullMatchesPoint(t, &edge, counts, edgeEsts, edgeBounds)
+
 		// JSON round trip preserves the scheme identity.
 		data, err := rr.MarshalScheme(s)
 		if err != nil {
@@ -112,6 +142,27 @@ func FuzzCMSRoundTrip(f *testing.F) {
 			t.Fatalf("JSON round trip changed version %q -> %q", v1, v2)
 		}
 	})
+}
+
+// fullMatchesPoint checks a full-domain EstimateWithBound(counts, nil, 3, 1)
+// result against one-category point queries, bit for bit, and each domain
+// category's Hash against the Div64 reference.
+func fullMatchesPoint(t *testing.T, s *CMSScheme, counts []int, ests, bounds []float64) {
+	t.Helper()
+	for x := range ests {
+		for j := 0; j < s.Hashes(); j++ {
+			if got, want := s.Hash(j, x), refHash(s.a[j], s.b[j], s.rangeM, uint64(x)); got != want {
+				t.Fatalf("Hash(%d, %d) = %d, want %d", j, x, got, want)
+			}
+		}
+		e, b, err := s.EstimateWithBound(counts, []int{x}, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(e[0]) != math.Float64bits(ests[x]) || math.Float64bits(b[0]) != math.Float64bits(bounds[x]) {
+			t.Fatalf("category %d: point query %v ± %v, full domain %v ± %v", x, e[0], b[0], ests[x], bounds[x])
+		}
+	}
 }
 
 // FuzzUnmarshalScheme drives the kind-tagged envelope decoder with both

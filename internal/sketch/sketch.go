@@ -157,11 +157,18 @@ func (s *CMSScheme) Inner() *rr.Matrix { return s.inner }
 // pairwise independence while destroying that joint structure. Exported so
 // collectors and tests can locate a category's cell in each sketch row.
 func (s *CMSScheme) Hash(j, value int) int {
-	// a, value < p < 2⁶¹ so the 128-bit product's high word is < 2⁵⁸ < p and
+	return int(mix64(s.affine(j, uint64(value))) % uint64(s.rangeM))
+}
+
+// affine is Hash's affine stage (a_j·x + b_j) mod p. Consecutive values
+// differ by exactly a_j mod p, which is what lets the full-domain scan step
+// it instead of recomputing it.
+func (s *CMSScheme) affine(j int, x uint64) uint64 {
+	// a, x < p < 2⁶¹ so the 128-bit product's high word is < 2⁵⁸ < p and
 	// Div64 cannot panic; the sum after reduction fits 62 bits.
-	hi, lo := bits.Mul64(s.a[j], uint64(value))
+	hi, lo := bits.Mul64(s.a[j], x)
 	_, rem := bits.Div64(hi, lo, hashPrime)
-	return int(mix64((rem+s.b[j])%hashPrime) % uint64(s.rangeM))
+	return (rem + s.b[j]) % hashPrime
 }
 
 // mix64 is the splitmix64 finalizer: a fixed bijection on 64-bit words with
@@ -227,50 +234,6 @@ func (s *CMSScheme) DisguiseBatchInto(dst, records []int, seed uint64, workers i
 	})
 }
 
-// rows debiases the k×m count grid: for every sketch row with reports it
-// computes the row weight N_j/N and the row's debiased cell estimates
-// t̂_j = inner⁻¹ · p̂*_j. Rows without reports get weight 0 and are skipped;
-// the remaining weights are renormalized over the observed mass.
-func (s *CMSScheme) rows(counts []int) (weights []float64, cells [][]float64, err error) {
-	if len(counts) != s.ReportSpace() {
-		return nil, nil, fmt.Errorf("%w: %d counts for report space %d", rr.ErrShape, len(counts), s.ReportSpace())
-	}
-	total := 0
-	for k, c := range counts {
-		if c < 0 {
-			return nil, nil, fmt.Errorf("%w: count[%d] = %d is negative", rr.ErrShape, k, c)
-		}
-		total += c
-	}
-	if total == 0 {
-		return nil, nil, rr.ErrEmptyData
-	}
-	weights = make([]float64, s.hashes)
-	cells = make([][]float64, s.hashes)
-	pStar := make([]float64, s.rangeM)
-	for j := 0; j < s.hashes; j++ {
-		row := counts[j*s.rangeM : (j+1)*s.rangeM]
-		rowTotal := 0
-		for _, c := range row {
-			rowTotal += c
-		}
-		if rowTotal == 0 {
-			continue
-		}
-		weights[j] = float64(rowTotal) / float64(total)
-		invTotal := 1 / float64(rowTotal)
-		for v, c := range row {
-			pStar[v] = float64(c) * invTotal
-		}
-		t := make([]float64, s.rangeM)
-		if err := s.inv.MulVecInto(t, pStar); err != nil {
-			return nil, nil, err
-		}
-		cells[j] = t
-	}
-	return weights, cells, nil
-}
-
 // EstimateFrom debiases aggregated report counts (length ReportSpace(),
 // row-major k×m) into frequency estimates for the requested categories; a
 // nil categories slice means the full domain. The estimate for category x is
@@ -290,91 +253,187 @@ func (s *CMSScheme) EstimateWithBound(counts []int, categories []int, z, ell2 fl
 	return s.estimate(counts, categories, z, ell2)
 }
 
+// scanChunk is how many categories the full-domain scan covers per pass over
+// the sketch rows: the chunk's running estimates (16 KiB) stay in L1 cache
+// while each row adds its contribution.
+const scanChunk = 2048
+
+// estimate pays only for the cells the query touches. Named categories
+// debias just the ≤ k·|categories| cells they hash to (O(m) each); the full
+// domain debiases all k·m cells once and then hashes every category. The
+// bounds slice carries the summed row variances until the final step turns
+// them into half-widths. Every sum runs in a fixed order — cell sums over v
+// ascending, category sums over rows ascending — so a category's estimate
+// and bound are bit for bit the same on either path.
 func (s *CMSScheme) estimate(counts []int, categories []int, z, ell2 float64) (ests, bounds []float64, err error) {
-	weights, cells, err := s.rows(counts)
+	rowTotals, weights, err := s.rowWeights(counts)
 	if err != nil {
 		return nil, nil, err
 	}
-	withBound := z > 0
-	m := float64(s.rangeM)
-	// Per-row, per-cell debiased estimates and (optionally) variances are
-	// precomputed once — O(k·m²) — so each category query is O(k).
-	debiased := make([][]float64, s.hashes)
-	var rowVar [][]float64
-	if withBound {
-		rowVar = make([][]float64, s.hashes)
-	}
-	for j, t := range cells {
-		if t == nil {
-			continue
-		}
-		d := make([]float64, s.rangeM)
-		for u, tv := range t {
-			d[u] = (m*tv - 1) / (m - 1)
-		}
-		debiased[j] = d
-		if !withBound {
-			continue
-		}
-		row := counts[j*s.rangeM : (j+1)*s.rangeM]
-		rowTotal := 0
-		for _, c := range row {
-			rowTotal += c
-		}
-		pStar := make([]float64, s.rangeM)
-		invTotal := 1 / float64(rowTotal)
-		for v, c := range row {
-			pStar[v] = float64(c) * invTotal
-		}
-		vr := make([]float64, s.rangeM)
-		for u := range vr {
-			v, err := metrics.CMSRowVariance(s.inv.RowView(u), pStar, rowTotal, s.rangeM)
-			if err != nil {
-				return nil, nil, err
-			}
-			// The m·t̂ debias multiplies the cell estimate by m before the
-			// 1/(m−1) division; CMSRowVariance already carries the
-			// (m/(m−1))² scale.
-			vr[u] = v
-		}
-		rowVar[j] = vr
-	}
-	if categories == nil {
-		categories = make([]int, s.domain)
-		for x := range categories {
-			categories[x] = x
-		}
-	}
-	ests = make([]float64, len(categories))
-	if withBound {
-		bounds = make([]float64, len(categories))
-	}
-	collision := 0.0
-	if withBound {
-		collision = metrics.CMSCollisionStd(ell2, s.rangeM, s.hashes)
-	}
-	for i, x := range categories {
+	for _, x := range categories {
 		if x < 0 || x >= s.domain {
 			return nil, nil, fmt.Errorf("%w: category %d of %d", rr.ErrShape, x, s.domain)
 		}
-		var est, variance float64
-		for j := 0; j < s.hashes; j++ {
-			if debiased[j] == nil {
-				continue
-			}
-			u := s.Hash(j, x)
-			w := weights[j]
-			est += w * debiased[j][u]
-			if withBound {
-				variance += w * w * rowVar[j][u]
-			}
-		}
-		ests[i] = est
-		if withBound {
-			bounds[i] = z * (math.Sqrt(variance) + collision)
-		}
+	}
+	withBound := z > 0
+	if categories == nil {
+		ests, bounds, err = s.scanDomain(counts, rowTotals, weights, withBound)
+	} else {
+		ests, bounds, err = s.pointQuery(counts, rowTotals, weights, categories, withBound)
+	}
+	if err != nil || !withBound {
+		return ests, bounds, err
+	}
+	collision := metrics.CMSCollisionStd(ell2, s.rangeM, s.hashes)
+	for i, variance := range bounds {
+		bounds[i] = z * (math.Sqrt(variance) + collision)
 	}
 	return ests, bounds, nil
+}
+
+// rowWeights validates the k×m count grid and returns each row's report
+// count N_j and weight N_j/N. Rows without reports get weight 0 and are
+// skipped by the estimators; the remaining weights are renormalized over the
+// observed mass.
+func (s *CMSScheme) rowWeights(counts []int) (rowTotals []int, weights []float64, err error) {
+	if len(counts) != s.ReportSpace() {
+		return nil, nil, fmt.Errorf("%w: %d counts for report space %d", rr.ErrShape, len(counts), s.ReportSpace())
+	}
+	rowTotals = make([]int, s.hashes)
+	total := 0
+	for j := range rowTotals {
+		n := 0
+		for v, c := range counts[j*s.rangeM : (j+1)*s.rangeM] {
+			if c < 0 {
+				return nil, nil, fmt.Errorf("%w: count[%d] = %d is negative", rr.ErrShape, j*s.rangeM+v, c)
+			}
+			n += c
+		}
+		rowTotals[j] = n
+		total += n
+	}
+	if total == 0 {
+		return nil, nil, rr.ErrEmptyData
+	}
+	weights = make([]float64, s.hashes)
+	for j, n := range rowTotals {
+		weights[j] = float64(n) / float64(total)
+	}
+	return rowTotals, weights, nil
+}
+
+// disguisedRow fills pStar with row j's empirical disguised distribution
+// p̂*_j (rowTotal > 0).
+func (s *CMSScheme) disguisedRow(pStar []float64, counts []int, j, rowTotal int) {
+	invTotal := 1 / float64(rowTotal)
+	for v, c := range counts[j*s.rangeM : (j+1)*s.rangeM] {
+		pStar[v] = float64(c) * invTotal
+	}
+}
+
+// debiasCell returns cell u's collision-debiased estimate (m·t̂[u] − 1)/(m − 1)
+// with t̂[u] = Σ_v inv[u][v]·p̂*[v] — one row of the Theorem-1 inversion —
+// and, when withBound is set, its metrics.CMSRowVariance (which already
+// carries the (m/(m−1))² debias scale).
+func (s *CMSScheme) debiasCell(pStar []float64, rowTotal, u int, withBound bool) (est, variance float64, err error) {
+	invRow := s.inv.RowView(u)
+	var t float64
+	for v, iv := range invRow {
+		t += iv * pStar[v]
+	}
+	m := float64(s.rangeM)
+	est = (m*t - 1) / (m - 1)
+	if withBound {
+		variance, err = metrics.CMSRowVariance(invRow, pStar, rowTotal, s.rangeM)
+	}
+	return est, variance, err
+}
+
+// pointQuery estimates the named categories row by row, debiasing a cell
+// the first time a category lands in it: O(k·m) to read the rows plus O(m)
+// per distinct cell touched, instead of O(k·m²) for the whole grid.
+func (s *CMSScheme) pointQuery(counts, rowTotals []int, weights []float64, categories []int, withBound bool) (ests, variances []float64, err error) {
+	ests = make([]float64, len(categories))
+	if withBound {
+		variances = make([]float64, len(categories))
+	}
+	pStar := make([]float64, s.rangeM)
+	cellEst := make([]float64, s.rangeM)
+	cellVar := make([]float64, s.rangeM)
+	// debiased[u] == j+1 marks cell u as already computed for row j.
+	debiased := make([]int, s.rangeM)
+	for j, rowTotal := range rowTotals {
+		if rowTotal == 0 {
+			continue
+		}
+		s.disguisedRow(pStar, counts, j, rowTotal)
+		w := weights[j]
+		for i, x := range categories {
+			u := s.Hash(j, x)
+			if debiased[u] != j+1 {
+				debiased[u] = j + 1
+				if cellEst[u], cellVar[u], err = s.debiasCell(pStar, rowTotal, u, withBound); err != nil {
+					return nil, nil, err
+				}
+			}
+			ests[i] += w * cellEst[u]
+			if withBound {
+				variances[i] += w * w * cellVar[u]
+			}
+		}
+	}
+	return ests, variances, nil
+}
+
+// scanDomain estimates every category: each of the k·m cells is debiased
+// once, then the domain is walked in scanChunk blocks, row by row. Within a
+// row the affine hash stage steps from one category to the next by a single
+// modular add — exact, since v + a_j < 2p < 2⁶² — so a (row, category) pair
+// costs one mix64, one mod-m reduction and one gather; only each block's
+// first category pays Hash's 128-bit division.
+func (s *CMSScheme) scanDomain(counts, rowTotals []int, weights []float64, withBound bool) (ests, variances []float64, err error) {
+	m := s.rangeM
+	cellEst := make([]float64, s.hashes*m)
+	cellVar := make([]float64, s.hashes*m)
+	pStar := make([]float64, m)
+	for j, rowTotal := range rowTotals {
+		if rowTotal == 0 {
+			continue
+		}
+		s.disguisedRow(pStar, counts, j, rowTotal)
+		d, rv := cellEst[j*m:(j+1)*m], cellVar[j*m:(j+1)*m]
+		for u := range d {
+			if d[u], rv[u], err = s.debiasCell(pStar, rowTotal, u, withBound); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	ests = make([]float64, s.domain)
+	if withBound {
+		variances = make([]float64, s.domain)
+	}
+	mod := uint64(m)
+	for lo := 0; lo < s.domain; lo += scanChunk {
+		hi := min(lo+scanChunk, s.domain)
+		for j, w := range weights {
+			if rowTotals[j] == 0 {
+				continue
+			}
+			d, rv, ww := cellEst[j*m:(j+1)*m], cellVar[j*m:(j+1)*m], w*w
+			a, v := s.a[j], s.affine(j, uint64(lo))
+			for x := lo; x < hi; x++ {
+				u := mix64(v) % mod
+				ests[x] += w * d[u]
+				if withBound {
+					variances[x] += ww * rv[u]
+				}
+				if v += a; v >= hashPrime {
+					v -= hashPrime
+				}
+			}
+		}
+	}
+	return ests, variances, nil
 }
 
 // cmsJSON is the wire form of the scheme: the hash family travels as its
