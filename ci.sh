@@ -11,11 +11,13 @@
 #                  live scrapes by design — plus the rrserver collection
 #                  service, its SDK and the sketch scheme) and the
 #                  worker-parallel paths (experiment grid, batch
-#                  disguise/sampling); the island scheduler and the
-#                  collector's concurrency tests (multi-shard ingest, Merge
-#                  and snapshots racing queries, writers, dense and sketch
-#                  schemes) additionally run under -cpu 1,4 to exercise both
-#                  the single-P and multi-P schedules
+#                  disguise/sampling, multi-attribute Disguise sharing each
+#                  matrix's lazily built sampler tables); the island
+#                  scheduler and the collector's concurrency tests
+#                  (multi-shard ingest, Merge and snapshots racing queries,
+#                  writers, dense and sketch schemes) additionally run under
+#                  -cpu 1,4 to exercise both the single-P and multi-P
+#                  schedules
 #   fuzz smoke     short -fuzz bursts on the sketch hash→disguise→debias
 #                  round trip (estimates stay finite and near-normalized for
 #                  arbitrary parameters, the full-domain scan equals
@@ -91,7 +93,7 @@ go test -race -cpu 1,4 -run 'Island|Sharded|Writer|Contention|Race|Concurrent|Mu
 
 echo "== go test -race (parallel paths) =="
 go test -race -run 'Parallel|Grid|Batch|Stream|Tuple' \
-    ./internal/experiments ./internal/rr ./internal/dataset
+    ./internal/experiments ./internal/rr ./internal/dataset ./internal/mining
 
 echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, batch codec) =="
 go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 5s ./internal/sketch

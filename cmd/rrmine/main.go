@@ -27,8 +27,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -42,37 +44,68 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if !errors.Is(err, errFlagParse) {
+		fmt.Fprintln(os.Stderr, err)
+	}
+	var usage usageError
+	if errors.As(err, &usage) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// usageError marks an invocation error — a bad flag, input table or class
+// attribute — which exits with status 2; any other error exits with 1.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// errFlagParse reports a flag-parse failure, which the flag set has already
+// printed together with the usage text.
+var errFlagParse = errors.New("rrmine: bad flags")
+
+// run is the whole command: it parses args, runs the selected pipeline and
+// writes its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("rrmine", flag.ContinueOnError)
 	var (
-		dataPath     = flag.String("data", "", "CSV file with a header row")
-		demo         = flag.Bool("demo", false, "use a built-in synthetic loan table")
-		class        = flag.String("class", "", "class attribute for tree/bayes (default: last column)")
-		warnerP      = flag.Float64("warner", 0.8, "Warner diagonal p used to disguise every attribute")
-		seed         = flag.Uint64("seed", 1, "random seed")
-		tree         = flag.Bool("tree", true, "build a decision tree")
-		bayes        = flag.Bool("bayes", true, "train naive Bayes")
-		independence = flag.Bool("independence", false, "print a pairwise chi-square dependence table")
-		depth        = flag.Int("depth", 0, "max tree depth (0 = number of attributes)")
-		sketchDomain = flag.Int("sketch", 0, "run the large-domain heavy-hitter demo over this many categories instead of the table pipeline")
-		sketchN      = flag.Int("sketch-records", 200000, "records to draw in the -sketch demo")
-		epsilon      = flag.Float64("epsilon", 4, "sketch inner k-RR privacy budget ε (with -sketch)")
-		tracePath    = flag.String("trace", "", "write a JSONL run trace to this path")
-		metricsAddr  = flag.String("metrics-addr", "", "serve expvar, pprof and /metrics on host:port while running")
+		dataPath     = fs.String("data", "", "CSV file with a header row")
+		demo         = fs.Bool("demo", false, "use a built-in synthetic loan table")
+		class        = fs.String("class", "", "class attribute for tree/bayes (default: last column)")
+		warnerP      = fs.Float64("warner", 0.8, "Warner diagonal p used to disguise every attribute")
+		seed         = fs.Uint64("seed", 1, "random seed")
+		tree         = fs.Bool("tree", true, "build a decision tree")
+		bayes        = fs.Bool("bayes", true, "train naive Bayes")
+		independence = fs.Bool("independence", false, "print a pairwise chi-square dependence table")
+		depth        = fs.Int("depth", 0, "max tree depth (0 = number of attributes)")
+		sketchDomain = fs.Int("sketch", 0, "run the large-domain heavy-hitter demo over this many categories instead of the table pipeline")
+		sketchN      = fs.Int("sketch-records", 200000, "records to draw in the -sketch demo")
+		epsilon      = fs.Float64("epsilon", 4, "sketch inner k-RR privacy budget ε (with -sketch)")
+		tracePath    = fs.String("trace", "", "write a JSONL run trace to this path")
+		metricsAddr  = fs.String("metrics-addr", "", "serve expvar, pprof and /metrics on host:port while running")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{errFlagParse}
+	}
 
 	if err := validateFlags(*warnerP, *depth); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usageError{err}
 	}
 
 	telem, err := obs.OpenCLI(*tracePath, *metricsAddr, "rrmine")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer telem.Close()
 	if telem.MetricsURL != "" {
-		fmt.Printf("metrics: %s/metrics\n", telem.MetricsURL)
+		fmt.Fprintf(stdout, "metrics: %s/metrics\n", telem.MetricsURL)
 	}
 	// stage records one "rrmine.<name>" event with wall-time and outcome
 	// fields, and mirrors the duration into the metric registry.
@@ -90,18 +123,13 @@ func main() {
 	}
 
 	if *sketchDomain > 0 {
-		if err := runSketchDemo(*sketchDomain, *sketchN, *epsilon, *seed, stage); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return runSketchDemo(stdout, *sketchDomain, *sketchN, *epsilon, *seed, stage)
 	}
 
 	stageStart := time.Now()
 	table, err := loadTable(*dataPath, *demo, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usageError{err}
 	}
 	stage("load", stageStart, obs.Fields{"rows": table.Len(), "attributes": len(table.Attributes())})
 	attrs := table.Attributes()
@@ -109,11 +137,10 @@ func main() {
 	if *class != "" {
 		classIdx, err = table.AttributeIndex(*class)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return usageError{err}
 		}
 	}
-	fmt.Printf("table: %d rows, %d attributes; class = %q\n",
+	fmt.Fprintf(stdout, "table: %d rows, %d attributes; class = %q\n",
 		table.Len(), len(attrs), attrs[classIdx].Name)
 
 	// Disguise (the data owners' side).
@@ -123,32 +150,28 @@ func main() {
 	for d, a := range attrs {
 		m, err := rr.Warner(len(a.Categories), *warnerP)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		ms[d] = m
 	}
 	mr, err := mining.NewMultiRR(ms...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	disguised, err := mr.Disguise(table.Rows(), rng)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("disguised every attribute with Warner(p=%.2f); mining sees only disguised rows\n\n", *warnerP)
+	fmt.Fprintf(stdout, "disguised every attribute with Warner(p=%.2f); mining sees only disguised rows\n\n", *warnerP)
 	stage("disguise", stageStart, obs.Fields{"rows": len(disguised), "warner": *warnerP})
 
 	// Reconstructed marginals vs clean marginals.
 	stageStart = time.Now()
-	fmt.Println("reconstructed marginals (clean value in parentheses):")
+	fmt.Fprintln(stdout, "reconstructed marginals (clean value in parentheses):")
 	for d, a := range attrs {
 		sub, err := mining.NewMultiRR(ms[d])
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		col := make([][]int, len(disguised))
 		for i, row := range disguised {
@@ -156,59 +179,53 @@ func main() {
 		}
 		est, err := sub.EstimateJoint(col)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		est = rr.Clip(est)
 		clean, err := table.Marginal(d)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("  %s:\n", a.Name)
+		fmt.Fprintf(stdout, "  %s:\n", a.Name)
 		for v, label := range a.Categories {
-			fmt.Printf("    %-12s %.4f (%.4f)\n", label, est[v], clean[v])
+			fmt.Fprintf(stdout, "    %-12s %.4f (%.4f)\n", label, est[v], clean[v])
 		}
 	}
 	stage("marginals", stageStart, obs.Fields{"attributes": len(attrs)})
 
 	if *tree {
 		stageStart = time.Now()
-		fmt.Println("\ndecision tree (trained on the reconstructed joint):")
+		fmt.Fprintln(stdout, "\ndecision tree (trained on the reconstructed joint):")
 		joint, err := mr.EstimateJoint(disguised)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		tr, err := mining.BuildTree(mr, joint, classIdx, mining.TreeConfig{MaxDepth: *depth})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		acc, err := tr.Accuracy(table.Rows())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("  accuracy on the CLEAN rows: %.1f%%\n", 100*acc)
+		fmt.Fprintf(stdout, "  accuracy on the CLEAN rows: %.1f%%\n", 100*acc)
 		stage("tree", stageStart, obs.Fields{"accuracy": acc, "depth": *depth})
 	}
 
 	if *independence {
 		stageStart = time.Now()
-		fmt.Println("\npairwise dependence (chi-square on the reconstructed joints):")
+		fmt.Fprintln(stdout, "\npairwise dependence (chi-square on the reconstructed joints):")
 		for a := 0; a < len(attrs); a++ {
 			for b := a + 1; b < len(attrs); b++ {
 				res, err := mining.ChiSquareIndependence(mr, disguised, a, b)
 				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
+					return err
 				}
 				verdict := "independent"
 				if res.Dependent(0.01) {
 					verdict = "DEPENDENT"
 				}
-				fmt.Printf("  %-10s vs %-10s  chi2=%8.1f  p=%.4f  V=%.3f  %s\n",
+				fmt.Fprintf(stdout, "  %-10s vs %-10s  chi2=%8.1f  p=%.4f  V=%.3f  %s\n",
 					attrs[a].Name, attrs[b].Name, res.Statistic, res.PValue, res.CramersV, verdict)
 			}
 		}
@@ -219,17 +236,16 @@ func main() {
 		stageStart = time.Now()
 		nb, err := mining.TrainNaiveBayes(mr, disguised, classIdx, 1)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		acc, err := nb.Accuracy(table.Rows())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("\nnaive Bayes (trained on disguised rows): %.1f%% accuracy on clean rows\n", 100*acc)
+		fmt.Fprintf(stdout, "\nnaive Bayes (trained on disguised rows): %.1f%% accuracy on clean rows\n", 100*acc)
 		stage("bayes", stageStart, obs.Fields{"accuracy": acc})
 	}
+	return nil
 }
 
 // validateFlags fails fast on flag values that would only be rejected after
@@ -248,7 +264,7 @@ func validateFlags(warnerP float64, depth int) error {
 // over a domain no dense matrix could cover, disguised record by record
 // through the count-mean sketch, aggregated in the sketch collector, heavy
 // hitters recovered by the chunked top-k scan.
-func runSketchDemo(domain, records int, epsilon float64, seed uint64, stage func(string, time.Time, obs.Fields)) error {
+func runSketchDemo(stdout io.Writer, domain, records int, epsilon float64, seed uint64, stage func(string, time.Time, obs.Fields)) error {
 	if records <= 0 {
 		return fmt.Errorf("-sketch-records must be positive, got %d", records)
 	}
@@ -260,7 +276,7 @@ func runSketchDemo(domain, records int, epsilon float64, seed uint64, stage func
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sketch demo: %d categories -> %d hash functions x %d cells (%.1f KiB of counters, ε=%.2g)\n",
+	fmt.Fprintf(stdout, "sketch demo: %d categories -> %d hash functions x %d cells (%.1f KiB of counters, ε=%.2g)\n",
 		domain, hashes, hashRange, float64(scheme.ReportSpace()*8)/1024, epsilon)
 
 	// Zipf(1) values: the data owners' side.
@@ -316,9 +332,9 @@ func runSketchDemo(domain, records int, epsilon float64, seed uint64, stage func
 	}
 	stage("sketch_mine", stageStart, obs.Fields{"hits": len(hits)})
 
-	fmt.Println("top-10 heavy hitters (true frequency in parentheses):")
+	fmt.Fprintln(stdout, "top-10 heavy hitters (true frequency in parentheses):")
 	for _, h := range hits {
-		fmt.Printf("  category %-8d %.4f (%.4f)\n", h.Category, h.Estimate, truth[h.Category])
+		fmt.Fprintf(stdout, "  category %-8d %.4f (%.4f)\n", h.Category, h.Estimate, truth[h.Category])
 	}
 	return nil
 }

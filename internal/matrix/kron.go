@@ -315,31 +315,3 @@ func (k *Kron) expandInto(dst []float64, vecs [][]float64) error {
 	}
 	return nil
 }
-
-// Dense materializes the full N×N matrix. It exists as the oracle for tests
-// and for the dense-vs-factored benchmarks; production paths never call it.
-func (k *Kron) Dense() *Dense {
-	cur := []float64{1}
-	curN := 1
-	for _, f := range k.factors {
-		n := f.rows
-		nxtN := curN * n
-		nxt := make([]float64, nxtN*nxtN)
-		for a := 0; a < curN; a++ {
-			for b := 0; b < curN; b++ {
-				v := cur[a*curN+b]
-				if v == 0 {
-					continue
-				}
-				for i := 0; i < n; i++ {
-					for p := 0; p < n; p++ {
-						nxt[(a*n+i)*nxtN+(b*n+p)] = v * f.data[i*n+p]
-					}
-				}
-			}
-		}
-		cur = nxt
-		curN = nxtN
-	}
-	return &Dense{rows: curN, cols: curN, data: cur}
-}

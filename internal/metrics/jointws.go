@@ -32,8 +32,8 @@ import (
 //     quadratic form Σ_i β²_{k,i}·P*_i is ((⊗M_d⁻¹)∘²)·P* because squaring
 //     commutes with the Kronecker product.
 //
-// The dense JointChannel survives only as the test oracle; the property
-// tests pin this workspace against it to 1e-12.
+// The property tests pin this workspace to 1e-12 against a dense
+// materialization of the joint channel, which lives only in the tests.
 //
 // A JointWorkspace is not safe for concurrent use; give each worker
 // goroutine its own.
@@ -177,8 +177,8 @@ func (ws *JointWorkspace) utilityFromPStar(records int) (float64, error) {
 
 // Evaluate computes the record-level privacy, the joint-reconstruction
 // utility, and the worst-case posterior in one fused pass over the factored
-// representation, reusing the workspace buffers. It matches the dense
-// JointChannel-composed metrics to floating-point round-off (the property
+// representation, reusing the workspace buffers. It matches the 1-D metrics
+// over the dense joint channel to floating-point round-off (the property
 // tests pin 1e-12) at O(N·Σn_d) instead of O(N²)+O(N³) cost.
 func (ws *JointWorkspace) Evaluate(ms []*rr.Matrix, joint []float64, records int) (Evaluation, error) {
 	if err := ws.bind(ms); err != nil {

@@ -268,22 +268,3 @@ type Evaluation struct {
 func Evaluate(m *rr.Matrix, prior []float64, records int) (Evaluation, error) {
 	return NewWorkspace().Evaluate(m, prior, records)
 }
-
-// EvaluateComposed computes the same Evaluation through the three standalone
-// metric functions. It exists as the reference implementation the fused
-// Workspace path is tested against; Evaluate is the faster equivalent.
-func EvaluateComposed(m *rr.Matrix, prior []float64, records int) (Evaluation, error) {
-	priv, err := Privacy(m, prior)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	util, err := Utility(m, prior, records)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	mp, err := MaxPosterior(m, prior)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	return Evaluation{Privacy: priv, Utility: util, MaxPosterior: mp}, nil
-}

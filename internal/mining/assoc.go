@@ -72,28 +72,7 @@ func (bm *BasketMiner) Support(items []int) (float64, error) {
 	if len(items) == 0 {
 		return 1, nil
 	}
-	seen := make(map[int]bool, len(items))
-	ms := make([]*rr.Matrix, len(items))
-	for i, it := range items {
-		if it < 0 || it >= bm.Items() || seen[it] {
-			return 0, fmt.Errorf("%w: bad item %d", ErrSchema, it)
-		}
-		seen[it] = true
-		ms[i] = bm.mr.Matrix(it)
-	}
-	sub, err := NewMultiRR(ms...)
-	if err != nil {
-		return 0, err
-	}
-	proj := make([][]int, len(bm.disguised))
-	for k, rec := range bm.disguised {
-		row := make([]int, len(items))
-		for i, it := range items {
-			row[i] = rec[it]
-		}
-		proj[k] = row
-	}
-	joint, err := sub.EstimateJoint(proj)
+	joint, err := bm.mr.estimateAxes(bm.disguised, items)
 	if err != nil {
 		return 0, err
 	}

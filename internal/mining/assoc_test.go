@@ -133,6 +133,38 @@ func TestSupportRecoversTrueSupport(t *testing.T) {
 	}
 }
 
+// TestSupportWideBaskets: 70 items have 2^70 joint cells, more than an int
+// can count, yet every itemset support reconstructs only its own 2^|items|
+// cells, so a wide basket schema mines as usual.
+func TestSupportWideBaskets(t *testing.T) {
+	r := randx.New(11)
+	const nItems = 70
+	baskets := basketWorld(nItems, 20000, r)
+	ms := binaryMatrices(t, nItems, 0.9)
+	mr, err := NewMultiRR(ms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disguised, err := mr.Disguise(baskets, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := NewBasketMiner(ms, disguised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, items := range [][]int{{69}, {0, 1}, {1, 68, 69}} {
+		want := trueSupport(baskets, items)
+		got, err := bm.Support(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 0.03 {
+			t.Errorf("support%v = %v, want approx %v", items, got, want)
+		}
+	}
+}
+
 func TestFrequentItemsetsFindsPlantedPair(t *testing.T) {
 	r := randx.New(9)
 	const nItems = 5

@@ -31,9 +31,6 @@ func TrainNaiveBayes(mr *MultiRR, disguised [][]int, classAttr int, alpha float6
 	if classAttr < 0 || classAttr >= mr.Attributes() {
 		return nil, fmt.Errorf("%w: class attribute %d", ErrSchema, classAttr)
 	}
-	if len(disguised) == 0 {
-		return nil, ErrNoData
-	}
 	if alpha == 0 {
 		alpha = 1
 	}
@@ -41,18 +38,7 @@ func TrainNaiveBayes(mr *MultiRR, disguised [][]int, classAttr int, alpha float6
 	nClass := mr.Sizes()[classAttr]
 
 	// Class prior from the class attribute's one-dimensional reconstruction.
-	classCol := make([][]int, len(disguised))
-	for k, rec := range disguised {
-		if err := mr.checkRecord(rec); err != nil {
-			return nil, fmt.Errorf("record %d: %w", k, err)
-		}
-		classCol[k] = []int{rec[classAttr]}
-	}
-	classRR, err := NewMultiRR(mr.Matrix(classAttr))
-	if err != nil {
-		return nil, err
-	}
-	rawPrior, err := classRR.EstimateJoint(classCol)
+	rawPrior, err := mr.estimateAxes(disguised, []int{classAttr})
 	if err != nil {
 		return nil, err
 	}
@@ -68,15 +54,7 @@ func TrainNaiveBayes(mr *MultiRR, disguised [][]int, classAttr int, alpha float6
 		if d == classAttr {
 			continue
 		}
-		pairRR, err := NewMultiRR(mr.Matrix(d), mr.Matrix(classAttr))
-		if err != nil {
-			return nil, err
-		}
-		pair := make([][]int, len(disguised))
-		for k, rec := range disguised {
-			pair[k] = []int{rec[d], rec[classAttr]}
-		}
-		joint, err := pairRR.EstimateJoint(pair)
+		joint, err := mr.estimateAxes(disguised, []int{d, classAttr})
 		if err != nil {
 			return nil, err
 		}

@@ -69,27 +69,13 @@ func ChiSquareIndependence(mr *MultiRR, disguised [][]int, attrA, attrB int) (In
 			return IndependenceResult{}, fmt.Errorf("%w: attribute %d", ErrSchema, d)
 		}
 	}
-	if len(disguised) == 0 {
-		return IndependenceResult{}, ErrNoData
-	}
-	ma, mb := mr.Matrix(attrA), mr.Matrix(attrB)
-	pair, err := NewMultiRR(ma, mb)
-	if err != nil {
-		return IndependenceResult{}, err
-	}
-	proj := make([][]int, len(disguised))
-	for i, rec := range disguised {
-		if err := mr.checkRecord(rec); err != nil {
-			return IndependenceResult{}, fmt.Errorf("record %d: %w", i, err)
-		}
-		proj[i] = []int{rec[attrA], rec[attrB]}
-	}
-	joint, err := pair.EstimateJoint(proj)
+	joint, err := mr.estimateAxes(disguised, []int{attrA, attrB})
 	if err != nil {
 		return IndependenceResult{}, err
 	}
 	joint = rr.Clip(joint)
 
+	ma, mb := mr.Matrix(attrA), mr.Matrix(attrB)
 	na, nb := ma.N(), mb.N()
 	rowMarg := make([]float64, na)
 	colMarg := make([]float64, nb)

@@ -17,8 +17,8 @@ package mining
 import (
 	"errors"
 	"fmt"
+	"math"
 
-	"optrr/internal/matrix"
 	"optrr/internal/randx"
 	"optrr/internal/rr"
 )
@@ -34,30 +34,32 @@ var (
 // MultiRR disguises and reconstructs multi-attribute categorical data by
 // applying an independent RR matrix per attribute. The joint disguise
 // channel is the Kronecker product of the per-attribute matrices, so the
-// joint distribution is reconstructed by inverting one axis at a time —
+// joint distribution is reconstructed with rr's factored inverse ⊗M_d⁻¹ —
 // never materializing the exponentially large product matrix.
 type MultiRR struct {
 	ms    []*rr.Matrix
 	sizes []int
-	total int
+	axes  []int // every attribute in schema order: the axes of the full joint
 }
 
 // NewMultiRR builds a multi-dimensional disguiser from one matrix per
-// attribute.
+// attribute. A schema whose joint space has more cells than an int can count
+// is accepted: it serves estimates over small attribute subsets (e.g.
+// BasketMiner supports), while the full-joint methods report ErrSchema.
 func NewMultiRR(ms ...*rr.Matrix) (*MultiRR, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("%w: no attributes", ErrSchema)
 	}
 	sizes := make([]int, len(ms))
-	total := 1
+	axes := make([]int, len(ms))
 	for d, m := range ms {
 		if m == nil {
 			return nil, fmt.Errorf("%w: nil matrix for attribute %d", ErrSchema, d)
 		}
 		sizes[d] = m.N()
-		total *= m.N()
+		axes[d] = d
 	}
-	return &MultiRR{ms: ms, sizes: sizes, total: total}, nil
+	return &MultiRR{ms: ms, sizes: sizes, axes: axes}, nil
 }
 
 // Attributes returns the number of attributes.
@@ -70,11 +72,33 @@ func (mr *MultiRR) Sizes() []int {
 	return out
 }
 
-// JointSize returns the number of cells in the joint distribution.
-func (mr *MultiRR) JointSize() int { return mr.total }
+// JointSize returns the number of cells in the joint distribution, or 0 when
+// that count overflows int.
+func (mr *MultiRR) JointSize() int {
+	n, _ := mr.cells(mr.axes)
+	return n
+}
 
 // Matrix returns the RR matrix of attribute d.
 func (mr *MultiRR) Matrix(d int) *rr.Matrix { return mr.ms[d] }
+
+// cells returns the number of joint cells over the listed attributes, which
+// must be distinct and in range. A count that overflows int is ErrSchema.
+func (mr *MultiRR) cells(axes []int) (int, error) {
+	seen := make([]bool, len(mr.sizes))
+	n := 1
+	for _, d := range axes {
+		if d < 0 || d >= len(mr.sizes) || seen[d] {
+			return 0, fmt.Errorf("%w: bad attribute %d", ErrSchema, d)
+		}
+		seen[d] = true
+		if mr.sizes[d] > math.MaxInt/n {
+			return 0, fmt.Errorf("%w: joint space of %d attributes has more cells than an int can count", ErrSchema, len(axes))
+		}
+		n *= mr.sizes[d]
+	}
+	return n, nil
+}
 
 // checkRecord validates one multi-attribute record.
 func (mr *MultiRR) checkRecord(rec []int) error {
@@ -89,18 +113,16 @@ func (mr *MultiRR) checkRecord(rec []int) error {
 	return nil
 }
 
-// Disguise applies each attribute's RR matrix independently to every record.
+// Disguise applies each attribute's RR matrix independently to every record,
+// drawing from the matrices' cached samplers record by record.
 func (mr *MultiRR) Disguise(records [][]int, r *randx.Source) ([][]int, error) {
 	samplers := make([][]*randx.Alias, len(mr.ms))
 	for d, m := range mr.ms {
-		samplers[d] = make([]*randx.Alias, m.N())
-		for i := 0; i < m.N(); i++ {
-			a, err := randx.NewAlias(m.Column(i))
-			if err != nil {
-				return nil, fmt.Errorf("mining: attribute %d column %d: %w", d, i, err)
-			}
-			samplers[d][i] = a
+		s, err := m.Samplers()
+		if err != nil {
+			return nil, fmt.Errorf("mining: attribute %d: %w", d, err)
 		}
+		samplers[d] = s
 	}
 	out := make([][]int, len(records))
 	for k, rec := range records {
@@ -140,15 +162,29 @@ func (mr *MultiRR) Unindex(idx int) []int {
 
 // EmpiricalJoint returns the flattened joint frequency table of records.
 func (mr *MultiRR) EmpiricalJoint(records [][]int) ([]float64, error) {
+	return mr.empirical(records, mr.axes)
+}
+
+// empirical returns the joint frequency table of the listed attributes
+// (row-major in axes order), read straight from the full records: each
+// record adds 1/N to its cell, in record order.
+func (mr *MultiRR) empirical(records [][]int, axes []int) ([]float64, error) {
 	if len(records) == 0 {
 		return nil, ErrNoData
 	}
-	joint := make([]float64, mr.total)
+	cells, err := mr.cells(axes)
+	if err != nil {
+		return nil, err
+	}
+	joint := make([]float64, cells)
 	inv := 1 / float64(len(records))
 	for k, rec := range records {
-		idx, err := mr.Index(rec)
-		if err != nil {
+		if err := mr.checkRecord(rec); err != nil {
 			return nil, fmt.Errorf("record %d: %w", k, err)
+		}
+		idx := 0
+		for _, d := range axes {
+			idx = idx*mr.sizes[d] + rec[d]
 		}
 		joint[idx] += inv
 	}
@@ -156,75 +192,46 @@ func (mr *MultiRR) EmpiricalJoint(records [][]int) ([]float64, error) {
 }
 
 // EstimateJoint reconstructs the original joint distribution from disguised
-// records: the empirical disguised joint is computed and each axis is
-// inverted with that attribute's matrix (Theorem 1 applied per axis). The
-// estimate is unbiased but, like the one-dimensional inversion estimate, may
-// contain small negative entries for finite samples; use rr.Clip if a proper
-// distribution is required.
+// records: the empirical disguised joint is computed and inverted with the
+// factored inverse ⊗M_d⁻¹ (Theorem 1 applied per axis; see
+// rr.TupleEstimateFromDistribution). The estimate is unbiased but, like the
+// one-dimensional inversion estimate, may contain small negative entries for
+// finite samples; use rr.Clip if a proper distribution is required. A
+// singular matrix is rr.ErrSingular.
 func (mr *MultiRR) EstimateJoint(disguised [][]int) ([]float64, error) {
-	joint, err := mr.EmpiricalJoint(disguised)
+	return mr.estimateAxes(disguised, mr.axes)
+}
+
+// estimateAxes reconstructs the original joint distribution of the listed
+// attributes (row-major in axes order) from the full disguised records: the
+// mining consumers' path to one itemset, attribute pair or class column
+// without projecting the records or building a sub-schema.
+func (mr *MultiRR) estimateAxes(disguised [][]int, axes []int) ([]float64, error) {
+	joint, err := mr.empirical(disguised, axes)
 	if err != nil {
 		return nil, err
 	}
-	return mr.invertAxes(joint)
-}
-
-// invertAxes applies M_d⁻¹ along every axis of the flattened joint table.
-func (mr *MultiRR) invertAxes(joint []float64) ([]float64, error) {
-	out := make([]float64, len(joint))
-	copy(out, joint)
-	// Strides for row-major layout.
-	strides := make([]int, len(mr.sizes))
-	stride := 1
-	for d := len(mr.sizes) - 1; d >= 0; d-- {
-		strides[d] = stride
-		stride *= mr.sizes[d]
+	ms := make([]*rr.Matrix, len(axes))
+	for i, d := range axes {
+		ms[i] = mr.ms[d]
 	}
-	for d, m := range mr.ms {
-		lu, err := matrix.Factorize(m.Dense())
-		if err != nil {
-			return nil, fmt.Errorf("mining: attribute %d: %w", d, err)
-		}
-		size := mr.sizes[d]
-		st := strides[d]
-		block := st * size
-		fiber := make([]float64, size)
-		for base := 0; base < mr.total; base += block {
-			for off := 0; off < st; off++ {
-				start := base + off
-				for i := 0; i < size; i++ {
-					fiber[i] = out[start+i*st]
-				}
-				solved, err := lu.SolveVec(fiber)
-				if err != nil {
-					return nil, fmt.Errorf("mining: attribute %d: %w", d, err)
-				}
-				for i := 0; i < size; i++ {
-					out[start+i*st] = solved[i]
-				}
-			}
-		}
-	}
-	return out, nil
+	return rr.TupleEstimateFromDistribution(ms, joint)
 }
 
 // Marginal sums the joint distribution over every attribute except the ones
 // listed in keep (in keep order), returning the flattened marginal and its
 // sizes.
 func (mr *MultiRR) Marginal(joint []float64, keep []int) ([]float64, []int, error) {
-	if len(joint) != mr.total {
-		return nil, nil, fmt.Errorf("%w: joint of size %d, want %d", ErrSchema, len(joint), mr.total)
+	if err := mr.checkJoint(joint); err != nil {
+		return nil, nil, err
 	}
-	seen := make(map[int]bool, len(keep))
+	outTotal, err := mr.cells(keep)
+	if err != nil {
+		return nil, nil, err
+	}
 	outSizes := make([]int, len(keep))
-	outTotal := 1
 	for i, d := range keep {
-		if d < 0 || d >= len(mr.sizes) || seen[d] {
-			return nil, nil, fmt.Errorf("%w: bad keep attribute %d", ErrSchema, d)
-		}
-		seen[d] = true
 		outSizes[i] = mr.sizes[d]
-		outTotal *= mr.sizes[d]
 	}
 	out := make([]float64, outTotal)
 	for idx, v := range joint {
@@ -239,4 +246,16 @@ func (mr *MultiRR) Marginal(joint []float64, keep []int) ([]float64, []int, erro
 		out[o] += v
 	}
 	return out, outSizes, nil
+}
+
+// checkJoint validates a flattened joint table over the whole schema.
+func (mr *MultiRR) checkJoint(joint []float64) error {
+	total, err := mr.cells(mr.axes)
+	if err != nil {
+		return err
+	}
+	if len(joint) != total {
+		return fmt.Errorf("%w: joint of size %d, want %d", ErrSchema, len(joint), total)
+	}
+	return nil
 }

@@ -2,10 +2,14 @@ package mining
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"optrr/internal/matrix"
 	"optrr/internal/randx"
 	"optrr/internal/rr"
 )
@@ -190,8 +194,8 @@ func TestEstimateJointSingularMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mr.EstimateJoint([][]int{{0, 0}}); err == nil {
-		t.Fatal("singular per-axis matrix accepted")
+	if _, err := mr.EstimateJoint([][]int{{0, 0}}); !errors.Is(err, rr.ErrSingular) {
+		t.Fatalf("singular per-axis matrix: err = %v, want rr.ErrSingular", err)
 	}
 }
 
@@ -238,9 +242,9 @@ func TestMarginal(t *testing.T) {
 	}
 }
 
-// TestPropertyEstimateJointUnbiasedOnExactInput: feeding the exact disguised
-// joint distribution (M applied analytically) through invertAxes returns the
-// original joint.
+// TestPropertyJointInversionRoundTrip: feeding the exact disguised joint
+// distribution (M applied analytically) through the factored inverse returns
+// the original joint.
 func TestPropertyJointInversionRoundTrip(t *testing.T) {
 	f := func(seed uint64, aRaw, bRaw uint8) bool {
 		r := randx.New(seed)
@@ -248,10 +252,6 @@ func TestPropertyJointInversionRoundTrip(t *testing.T) {
 		nb := int(bRaw%3) + 2
 		ma := mustWarner(t, na, 0.6+0.3*r.Float64())
 		mb := mustWarner(t, nb, 0.6+0.3*r.Float64())
-		mr, err := NewMultiRR(ma, mb)
-		if err != nil {
-			return false
-		}
 		joint := make([]float64, na*nb)
 		var sum float64
 		for i := range joint {
@@ -274,7 +274,7 @@ func TestPropertyJointInversionRoundTrip(t *testing.T) {
 				disguisedJoint[yi*nb+yj] = s
 			}
 		}
-		est, err := mr.invertAxes(disguisedJoint)
+		est, err := rr.TupleEstimateFromDistribution([]*rr.Matrix{ma, mb}, disguisedJoint)
 		if err != nil {
 			return false
 		}
@@ -287,6 +287,297 @@ func TestPropertyJointInversionRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refInvertAxes is the per-axis LU estimator MultiRR used before it moved
+// onto rr's factored Kronecker inverse, kept verbatim as the reference the
+// equivalence property checks against: it applies M_d⁻¹ fiber by fiber along
+// every axis of the flattened joint table.
+func refInvertAxes(ms []*rr.Matrix, joint []float64) ([]float64, error) {
+	out := make([]float64, len(joint))
+	copy(out, joint)
+	strides := make([]int, len(ms))
+	stride := 1
+	for d := len(ms) - 1; d >= 0; d-- {
+		strides[d] = stride
+		stride *= ms[d].N()
+	}
+	for d, m := range ms {
+		lu, err := matrix.Factorize(m.Dense())
+		if err != nil {
+			return nil, fmt.Errorf("attribute %d: %w", d, err)
+		}
+		size := m.N()
+		st := strides[d]
+		block := st * size
+		fiber := make([]float64, size)
+		for base := 0; base < len(joint); base += block {
+			for off := 0; off < st; off++ {
+				start := base + off
+				for i := 0; i < size; i++ {
+					fiber[i] = out[start+i*st]
+				}
+				solved, err := lu.SolveVec(fiber)
+				if err != nil {
+					return nil, fmt.Errorf("attribute %d: %w", d, err)
+				}
+				for i := 0; i < size; i++ {
+					out[start+i*st] = solved[i]
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// randomStochastic draws one invertible n×n RR matrix: Warner,
+// uniform-perturbation, or a random column-stochastic matrix whose diagonal
+// holds more than half of every column (so it is diagonally dominant).
+func randomStochastic(t *testing.T, n int, r *randx.Source) *rr.Matrix {
+	t.Helper()
+	var (
+		m   *rr.Matrix
+		err error
+	)
+	switch r.Intn(3) {
+	case 0:
+		m, err = rr.Warner(n, 0.6+0.35*r.Float64())
+	case 1:
+		m, err = rr.UniformPerturbation(n, 0.3+0.6*r.Float64())
+	default:
+		cols := make([][]float64, n)
+		for i := range cols {
+			col := make([]float64, n)
+			var off float64
+			for j := range col {
+				if j != i {
+					col[j] = r.Float64()
+					off += col[j]
+				}
+			}
+			diag := 0.55 + 0.4*r.Float64()
+			for j := range col {
+				if j != i {
+					col[j] *= (1 - diag) / off
+				}
+			}
+			col[i] = diag
+			cols[i] = col
+		}
+		m, err = rr.FromColumns(cols)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestPropertyEstimateMatchesPerAxisLU pins the move onto rr's factored
+// inverse: on random schemas of 1–4 attributes with 2–6 categories each,
+// EstimateJoint and the axis-subset estimator (1–3 attributes in any order)
+// agree with the old per-axis LU estimator within 1e-12.
+func TestPropertyEstimateMatchesPerAxisLU(t *testing.T) {
+	const tol = 1e-12
+	f := func(seed uint64) bool {
+		r := randx.New(seed)
+		attrs := 1 + r.Intn(4)
+		ms := make([]*rr.Matrix, attrs)
+		for d := range ms {
+			ms[d] = randomStochastic(t, 2+r.Intn(5), r)
+		}
+		mr, err := NewMultiRR(ms...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := make([][]int, 1+r.Intn(2000))
+		for k := range records {
+			rec := make([]int, attrs)
+			for d, m := range ms {
+				rec[d] = r.Intn(m.N())
+			}
+			records[k] = rec
+		}
+		agree := func(axes []int, got []float64) bool {
+			sub := make([]*rr.Matrix, len(axes))
+			proj := make([][]int, len(records))
+			for i, d := range axes {
+				sub[i] = ms[d]
+			}
+			for k, rec := range records {
+				row := make([]int, len(axes))
+				for i, d := range axes {
+					row[i] = rec[d]
+				}
+				proj[k] = row
+			}
+			subRR, err := NewMultiRR(sub...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			emp, err := subRR.EmpiricalJoint(proj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refInvertAxes(sub, emp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Logf("seed %d axes %v: %d cells, want %d", seed, axes, len(got), len(want))
+				return false
+			}
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > tol {
+					t.Logf("seed %d axes %v cell %d: %v, want %v", seed, axes, i, got[i], want[i])
+					return false
+				}
+			}
+			return true
+		}
+		all := make([]int, attrs)
+		for d := range all {
+			all[d] = d
+		}
+		est, err := mr.EstimateJoint(records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !agree(all, est) {
+			return false
+		}
+		for k := 1; k <= 3 && k <= attrs; k++ {
+			perm := r.Perm(attrs)
+			axes := perm[:k]
+			got, err := mr.estimateAxes(records, axes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !agree(axes, got) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goldenDisguiseSchema is the schema the Disguise golden and the parallel
+// test run on: three attributes under Warner, uniform-perturbation and Warner
+// matrices, built fresh so their sampler caches start empty.
+func goldenDisguiseSchema(t *testing.T) *MultiRR {
+	t.Helper()
+	up, err := rr.UniformPerturbation(4, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := NewMultiRR(mustWarner(t, 3, 0.7), up, mustWarner(t, 2, 0.6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mr
+}
+
+func goldenDisguiseRecords() [][]int {
+	records := make([][]int, 16)
+	for i := range records {
+		records[i] = []int{i % 3, (i / 3) % 4, (i / 12) % 2}
+	}
+	return records
+}
+
+// TestMultiRRDisguiseGolden pins one seed's Disguise output exactly: the
+// draws are record-major (every attribute of record k before record k+1),
+// one alias draw per attribute.
+func TestMultiRRDisguiseGolden(t *testing.T) {
+	got, err := goldenDisguiseSchema(t).Disguise(goldenDisguiseRecords(), randx.New(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{
+		{0, 0, 0}, {1, 0, 1}, {2, 0, 1}, {0, 1, 0}, {1, 0, 1}, {2, 2, 1}, {0, 3, 0}, {1, 1, 0},
+		{2, 2, 1}, {0, 3, 0}, {1, 0, 0}, {0, 1, 1}, {0, 0, 0}, {1, 0, 1}, {2, 3, 1}, {2, 1, 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Disguise(seed 17) = %v\nwant %v", got, want)
+	}
+}
+
+// TestMultiRRDisguiseParallel shares one fresh MultiRR — and so its matrices'
+// lazily built sampler tables — across goroutines, each with its own seeded
+// source; every output must equal the serial run on an identical schema.
+func TestMultiRRDisguiseParallel(t *testing.T) {
+	const workers = 8
+	records := goldenDisguiseRecords()
+	serial := goldenDisguiseSchema(t)
+	want := make([][][]int, workers)
+	for g := range want {
+		out, err := serial.Disguise(records, randx.New(uint64(100+g)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[g] = out
+	}
+	shared := goldenDisguiseSchema(t)
+	got := make([][][]int, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = shared.Disguise(records, randx.New(uint64(100+g)))
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("worker %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(got[g], want[g]) {
+			t.Fatalf("worker %d: %v, want %v", g, got[g], want[g])
+		}
+	}
+}
+
+// TestWideSchema: 64 binary attributes have 2^64 joint cells, which overflows
+// int. The schema is still accepted — small-subset estimates work — but every
+// full-joint path reports ErrSchema instead of indexing a wrapped size.
+func TestWideSchema(t *testing.T) {
+	const attrs = 64
+	ms := make([]*rr.Matrix, attrs)
+	for d := range ms {
+		ms[d] = mustWarner(t, 2, 0.8)
+	}
+	mr, err := NewMultiRR(ms...)
+	if err != nil {
+		t.Fatalf("wide schema rejected: %v", err)
+	}
+	if mr.JointSize() != 0 {
+		t.Fatalf("JointSize = %d, want 0 for an overflowing schema", mr.JointSize())
+	}
+	records := [][]int{make([]int, attrs), make([]int, attrs)}
+	records[1][5] = 1
+	if _, err := mr.EmpiricalJoint(records); !errors.Is(err, ErrSchema) {
+		t.Fatalf("EmpiricalJoint: err = %v, want ErrSchema", err)
+	}
+	if _, err := mr.EstimateJoint(records); !errors.Is(err, ErrSchema) {
+		t.Fatalf("EstimateJoint: err = %v, want ErrSchema", err)
+	}
+	if _, _, err := mr.Marginal(nil, []int{0}); !errors.Is(err, ErrSchema) {
+		t.Fatalf("Marginal: err = %v, want ErrSchema", err)
+	}
+	if _, err := BuildTree(mr, nil, 0, TreeConfig{}); !errors.Is(err, ErrSchema) {
+		t.Fatalf("BuildTree: err = %v, want ErrSchema", err)
+	}
+	est, err := mr.estimateAxes(records, []int{5, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(est) != 4 {
+		t.Fatalf("pair estimate has %d cells, want 4", len(est))
 	}
 }
 

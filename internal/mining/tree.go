@@ -59,8 +59,8 @@ type Tree struct {
 // from a (reconstructed) joint distribution over the full schema. Negative
 // joint entries (inversion-estimate noise) are clamped to zero.
 func BuildTree(mr *MultiRR, joint []float64, classAttr int, cfg TreeConfig) (*Tree, error) {
-	if len(joint) != mr.JointSize() {
-		return nil, fmt.Errorf("%w: joint of size %d, want %d", ErrSchema, len(joint), mr.JointSize())
+	if err := mr.checkJoint(joint); err != nil {
+		return nil, err
 	}
 	if classAttr < 0 || classAttr >= mr.Attributes() {
 		return nil, fmt.Errorf("%w: class attribute %d", ErrSchema, classAttr)

@@ -3,6 +3,7 @@ package rr
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"optrr/internal/matrix"
 	"optrr/internal/randx"
@@ -29,6 +30,22 @@ func validateTuple(ms []*Matrix) error {
 		}
 	}
 	return nil
+}
+
+// tupleCells validates a per-attribute matrix list and returns the number of
+// cells ∏n_d of its joint space, or ErrShape when that count overflows int.
+func tupleCells(ms []*Matrix) (int, error) {
+	if err := validateTuple(ms); err != nil {
+		return 0, err
+	}
+	cells := 1
+	for _, m := range ms {
+		if m.N() > math.MaxInt/cells {
+			return 0, fmt.Errorf("%w: joint space of %d attributes has more cells than an int can count", ErrShape, len(ms))
+		}
+		cells *= m.N()
+	}
+	return cells, nil
 }
 
 // tupleSeeds derives one independent disguise seed per attribute from the
@@ -105,32 +122,27 @@ func TupleDisguiseBatchInto(dst, records [][]int, ms []*Matrix, seed uint64, wor
 // disguised records. Like EstimateInversion, the estimate is unbiased but
 // may leave the simplex on small samples; pass it through Clip for a proper
 // distribution. It returns ErrSingular if any attribute's matrix is
-// singular.
+// singular, and ErrShape if the joint space has more cells than an int can
+// count.
 func TupleEstimateJoint(ms []*Matrix, disguised [][]int) ([]float64, error) {
-	if err := validateTuple(ms); err != nil {
+	cells, err := tupleCells(ms)
+	if err != nil {
 		return nil, err
 	}
 	if len(disguised) == 0 {
 		return nil, ErrEmptyData
 	}
-	attrs := len(ms)
-	dims := make([]int, attrs)
-	cells := 1
-	for d, m := range ms {
-		dims[d] = m.N()
-		cells *= m.N()
-	}
 	counts := make([]float64, cells)
 	for k, rec := range disguised {
-		if len(rec) != attrs {
-			return nil, fmt.Errorf("%w: record %d has %d attributes, want %d", ErrShape, k, len(rec), attrs)
+		if len(rec) != len(ms) {
+			return nil, fmt.Errorf("%w: record %d has %d attributes, want %d", ErrShape, k, len(rec), len(ms))
 		}
 		idx := 0
 		for d, v := range rec {
-			if v < 0 || v >= dims[d] {
+			if v < 0 || v >= ms[d].N() {
 				return nil, fmt.Errorf("%w: record %d has category %d on attribute %d", ErrShape, k, v, d)
 			}
-			idx = idx*dims[d] + v
+			idx = idx*ms[d].N() + v
 		}
 		counts[idx]++
 	}
@@ -138,7 +150,24 @@ func TupleEstimateJoint(ms []*Matrix, disguised [][]int) ([]float64, error) {
 	for i := range counts {
 		counts[i] *= invN
 	}
-	factors := make([]*matrix.Dense, attrs)
+	return TupleEstimateFromDistribution(ms, counts)
+}
+
+// TupleEstimateFromDistribution applies the factored inversion estimator
+// P̂ = (⊗M_d⁻¹)·P̂* to an already-computed disguised joint distribution P̂*
+// (row-major, attribute 0 slowest): the tuple twin of
+// EstimateInversionFromDistribution. Each attribute's matrix is inverted
+// once, and the inverse is applied axis by axis in O(N·Σn_d). It returns
+// ErrSingular if any attribute's matrix is singular.
+func TupleEstimateFromDistribution(ms []*Matrix, pStar []float64) ([]float64, error) {
+	cells, err := tupleCells(ms)
+	if err != nil {
+		return nil, err
+	}
+	if len(pStar) != cells {
+		return nil, fmt.Errorf("%w: distribution of length %d for %d joint cells", ErrShape, len(pStar), cells)
+	}
+	factors := make([]*matrix.Dense, len(ms))
 	for d, m := range ms {
 		factors[d] = m.DenseView()
 	}
@@ -146,7 +175,7 @@ func TupleEstimateJoint(ms []*Matrix, disguised [][]int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	inv := matrix.KronZeros(dims)
+	inv := matrix.KronZeros(theta.Dims())
 	if err := theta.InverseInto(inv, matrix.NewLU()); err != nil {
 		if errors.Is(err, matrix.ErrSingular) {
 			return nil, fmt.Errorf("%w: %v", ErrSingular, err)
@@ -154,8 +183,7 @@ func TupleEstimateJoint(ms []*Matrix, disguised [][]int) ([]float64, error) {
 		return nil, err
 	}
 	est := make([]float64, cells)
-	tmp := make([]float64, cells)
-	if err := inv.MulVecInto(est, counts, tmp); err != nil {
+	if err := inv.MulVecInto(est, pStar, make([]float64, cells)); err != nil {
 		return nil, err
 	}
 	return est, nil

@@ -216,6 +216,57 @@ func TestTupleErrors(t *testing.T) {
 	if _, err := TupleEstimateJoint([]*Matrix{ms[0], TotallyRandom(2)}, [][]int{{0, 0}}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("singular factor: %v", err)
 	}
+	if _, err := TupleEstimateFromDistribution(ms, make([]float64, 5)); !errors.Is(err, ErrShape) {
+		t.Fatalf("short distribution: %v", err)
+	}
+	if _, err := TupleEstimateFromDistribution(nil, []float64{1}); !errors.Is(err, ErrShape) {
+		t.Fatalf("empty tuple: %v", err)
+	}
+}
+
+// TestTupleEstimateWideTuple: 64 binary attributes have 2^64 joint cells,
+// which overflows int; both estimators report ErrShape instead of indexing a
+// wrapped size.
+func TestTupleEstimateWideTuple(t *testing.T) {
+	sizes := make([]int, 64)
+	for d := range sizes {
+		sizes[d] = 2
+	}
+	ms := mustTuple(t, sizes, 0.8)
+	if _, err := TupleEstimateJoint(ms, tupleRecords(sizes, 3, 1)); !errors.Is(err, ErrShape) {
+		t.Fatalf("TupleEstimateJoint: %v", err)
+	}
+	if _, err := TupleEstimateFromDistribution(ms, []float64{1}); !errors.Is(err, ErrShape) {
+		t.Fatalf("TupleEstimateFromDistribution: %v", err)
+	}
+}
+
+// TestTupleEstimateFromDistributionMatchesJoint: TupleEstimateJoint is its
+// empirical joint fed through TupleEstimateFromDistribution.
+func TestTupleEstimateFromDistributionMatchesJoint(t *testing.T) {
+	sizes := []int{3, 2, 4}
+	ms := mustTuple(t, sizes, 0.7)
+	recs := tupleRecords(sizes, 500, 9)
+	pStar := make([]float64, 24)
+	for _, rec := range recs {
+		pStar[(rec[0]*2+rec[1])*4+rec[2]]++
+	}
+	for i := range pStar {
+		pStar[i] /= float64(len(recs))
+	}
+	want, err := TupleEstimateJoint(ms, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := TupleEstimateFromDistribution(ms, pStar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Fatalf("cell %d: %v, want %v", i, got[i], want[i])
+		}
+	}
 }
 
 // TestTupleDisguiseBatchEmpty mirrors DisguiseBatch: zero records is legal

@@ -1,8 +1,11 @@
 package optrr
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"optrr/internal/rr"
 )
 
 func testMultiProblem() MultiProblem {
@@ -245,5 +248,23 @@ func TestConfidenceIntervalsValidation(t *testing.T) {
 	}
 	if _, err := ConfidenceIntervals(m, []float64{0.5, 0.3, 0.2}, 0, 1.96); err == nil {
 		t.Fatal("records = 0 accepted")
+	}
+}
+
+// TestEstimateJointInversionWideTuple: 64 binary attributes have 2^64 joint
+// cells, more than an int can count; the estimate is refused with
+// rr.ErrShape instead of indexing a wrapped joint size.
+func TestEstimateJointInversionWideTuple(t *testing.T) {
+	ms := make([]*Matrix, 64)
+	for d := range ms {
+		m, err := Warner(2, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[d] = m
+	}
+	records := [][]int{make([]int, 64), make([]int, 64)}
+	if _, err := EstimateJointInversion(ms, records); !errors.Is(err, rr.ErrShape) {
+		t.Fatalf("err = %v, want rr.ErrShape", err)
 	}
 }
