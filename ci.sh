@@ -6,6 +6,12 @@
 #   analysis     go vet ./...; staticcheck when installed (gating)
 #   build        go build ./...
 #   tests        go test ./...
+#   perfbench      go vet and go test in the nested perfbench module, which
+#                  go test ./... from the root skips: the benchmark still
+#                  builds against this tree's packages, its metric lists
+#                  match BENCHMARK.json, both ledger closures hold and a
+#                  run whose check is made to fail does fail (about 10 s;
+#                  local toolchain, no module downloads)
 #   race           go test -race over the concurrency-critical packages
 #                  (collector, core, obs — metrics and trace recording race
 #                  live scrapes by design — plus the rrserver collection
@@ -82,6 +88,10 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== perfbench (nested module: vet + its own tests) =="
+GOFLAGS= GOPROXY=off GOTOOLCHAIN=local go -C perfbench vet ./...
+GOFLAGS= GOPROXY=off GOTOOLCHAIN=local go -C perfbench test ./...
 
 echo "== go test -race (collector, core, obs, rrserver, sketch) =="
 go test -race ./internal/collector ./internal/core ./internal/obs \

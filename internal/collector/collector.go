@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"optrr/internal/mining"
@@ -46,9 +47,12 @@ var (
 // domain size. A single report is one atomic add on the ingesting
 // goroutine's home shard — no lock, no shared write other than the counter
 // cell itself. Batches (IngestBatch, Merge, Writer.Flush) land whole on one
-// shard under that shard's mutex; queries take every shard mutex in index
-// order before folding, so a batch is either fully in a query's view or not
-// at all, and the total is derived from the counts actually read.
+// shard under that shard's mutex, one atomic add per touched cell (see
+// IngestBatch); queries take every shard mutex in index order before
+// folding, so a batch is either fully in a query's view or not at all, and
+// the total is derived from the counts actually read. The counts are the
+// whole state: the report metrics Instrument serves are read from them at
+// scrape time, not kept beside them.
 //
 // How a fold becomes estimates and confidence bounds is the one thing that
 // differs between scheme kinds, and New picks it once (see bounds): a dense
@@ -67,6 +71,10 @@ type Collector struct {
 	set    shardSet
 	cursor atomic.Uint64 // round-robins Writer shard assignment only
 	ins    *instrumentation
+	// tallies recycles IngestBatch's ReportSpace-wide per-cell tallies
+	// (*[]int, zeroed between uses), so steady-state batch landing
+	// allocates nothing.
+	tallies sync.Pool
 }
 
 // New returns a collector for reports disguised with the given scheme,
@@ -74,10 +82,15 @@ type Collector struct {
 // default sized to GOMAXPROCS). A singular dense matrix is accepted —
 // ingestion works, estimate queries return rr.ErrSingular.
 func New(scheme rr.Scheme, shards int) *Collector {
+	width := scheme.ReportSpace()
 	return &Collector{
 		scheme: scheme,
 		bounds: boundsFor(scheme),
-		set:    newShardSet(shards, scheme.ReportSpace()),
+		set:    newShardSet(shards, width),
+		tallies: sync.Pool{New: func() any {
+			tally := make([]int, width)
+			return &tally
+		}},
 	}
 }
 
@@ -94,48 +107,68 @@ func (c *Collector) ReportSpace() int { return c.set.width }
 // Shards returns the number of stripes.
 func (c *Collector) Shards() int { return len(c.set.shards) }
 
-// Instrument attaches a recorder and a metrics registry (see
-// newInstrumentation), with per-category report series for dense schemes
-// only: sketch reports are (hash row, cell) pairs, not categories. Call
-// before ingestion starts; the attachment itself is not synchronized.
+// Instrument attaches a recorder and a metrics registry (nil sends the
+// metrics to a private unpublished registry; see observe.go). The report
+// series — collector.reports and, for dense schemes only, one
+// collector.reports.cat<k> per category (sketch reports are (hash row,
+// cell) pairs, not categories) — are read from the shards at scrape time
+// and count from zero at this call: reports already held, such as a
+// restored snapshot's, are not counted. Call before ingestion starts; the
+// attachment itself is not synchronized.
 func (c *Collector) Instrument(rec obs.Recorder, reg *obs.Registry) {
-	categories := 0
-	if _, dense := c.scheme.(*rr.Matrix); dense {
-		categories = c.set.width
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	c.ins = newInstrumentation(rec, reg, categories)
+	c.ins = newInstrumentation(rec, reg)
+	c.serveReportSeries(reg)
+}
+
+// badReport counts a rejected report and builds its error.
+func (c *Collector) badReport(report int) error {
+	c.ins.observeBad()
+	return fmt.Errorf("%w: %d of report space %d", ErrBadReport, report, c.set.width)
 }
 
 // Ingest adds one disguised report: a single atomic increment on the calling
 // goroutine's home shard.
 func (c *Collector) Ingest(report int) error {
 	if report < 0 || report >= c.set.width {
-		c.ins.observeBad()
-		return fmt.Errorf("%w: %d of report space %d", ErrBadReport, report, c.set.width)
+		return c.badReport(report)
 	}
 	c.set.home().counts[report].Add(1)
-	c.ins.observeIngest(report)
 	return nil
 }
 
 // IngestBatch adds many reports atomically onto one shard; on error the
-// collector state is unchanged. The shard mutex holds the batch together
-// against queries; the adds stay atomic because lock-free single reports may
-// land on the same shard concurrently.
+// collector state is unchanged. The reports are counted into a private
+// per-cell tally in the same pass that validates them. Then, under the shard
+// mutex that holds the batch together against queries, a second walk over
+// the batch gives each distinct report one atomic add of its tally and
+// zeroes that cell for the next batch. A batch thus makes one shared write
+// per distinct report (at most the report space: 10 for a 1000-report batch
+// under a 10-category matrix) instead of one per report. Walking the batch
+// rather than the whole tally keeps the cost in proportion to the batch, so
+// a short batch over a wide sketch pays nothing for the cells it never
+// touches.
 func (c *Collector) IngestBatch(reports []int) error {
+	tp := c.tallies.Get().(*[]int)
+	tally := *tp
 	for _, r := range reports {
-		if r < 0 || r >= c.set.width {
-			c.ins.observeBad()
-			return fmt.Errorf("%w: %d of report space %d", ErrBadReport, r, c.set.width)
+		if r < 0 || r >= len(tally) {
+			return c.badReport(r) // the partial tally is dropped, not pooled
 		}
+		tally[r]++
 	}
 	sh := c.set.home()
 	sh.mu.Lock()
 	for _, r := range reports {
-		sh.counts[r].Add(1)
+		if n := tally[r]; n != 0 {
+			sh.counts[r].Add(int64(n))
+			tally[r] = 0
+		}
 	}
 	sh.mu.Unlock()
-	c.ins.observeReports(reports)
+	c.tallies.Put(tp)
 	c.ins.observeBatch(len(reports), c.Count)
 	return nil
 }
@@ -271,8 +304,12 @@ func (c *Collector) ScanHeavyHitters(threshold float64, limit int) (hits []minin
 // per-region collectors into a campaign-wide one. Both must carry the same
 // rr.SchemeVersion: counts disguised under different matrices or hash
 // families do not debias together. other is left unchanged. Merging a
-// collector into itself deadlocks; don't.
+// collector into itself is an error and changes nothing: it would count
+// every report twice and overstate the campaign's confidence.
 func (c *Collector) Merge(other *Collector) error {
+	if other == c {
+		return errors.New("collector: cannot merge a collector into itself")
+	}
 	if c.set.width != other.set.width {
 		return fmt.Errorf("%w: merging report space %d into %d", rr.ErrShape, other.set.width, c.set.width)
 	}
@@ -288,12 +325,7 @@ func (c *Collector) Merge(other *Collector) error {
 		return fmt.Errorf("collector: merge requires identical schemes (version %s vs %s)", cv, ov)
 	}
 	counts, total := other.fold()
-	sh := c.set.home()
-	sh.mu.Lock()
-	for k, v := range counts {
-		sh.counts[k].Add(int64(v))
-	}
-	sh.mu.Unlock()
+	c.set.home().land(counts)
 	c.ins.observeBatch(total, c.Count)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"optrr/internal/obs"
 	"optrr/internal/randx"
 	"optrr/internal/rr"
 )
@@ -48,6 +49,48 @@ func TestIngestBatchAtomic(t *testing.T) {
 	counts := c.Counts()
 	if counts[0] != 1 || counts[1] != 2 || counts[2] != 1 {
 		t.Fatalf("counts = %v", counts)
+	}
+}
+
+// TestIngestBatchMatchesIngest: a batch lands through a per-cell tally, one
+// atomic add per distinct report. For a dense scheme and a sketch, batches
+// shorter than, as long as and longer than the report space (1, width−1,
+// width and width+1 reports, with repeats), each followed by one rejected
+// part-way, must leave the same counts and report series as per-report
+// Ingest of the accepted reports: no tally cell may leak into a later batch.
+func TestIngestBatchMatchesIngest(t *testing.T) {
+	for _, scheme := range []rr.Scheme{mustWarner(t, 5, 0.7), testCMS(t, 100, 2, 8)} {
+		width := scheme.ReportSpace()
+		batched, single := New(scheme, 2), New(scheme, 1)
+		reg := obs.NewRegistry()
+		batched.Instrument(nil, reg)
+		rng := randx.New(3)
+		for _, size := range []int{1, width - 1, width, width + 1} {
+			batch := make([]int, size)
+			for i := range batch {
+				batch[i] = rng.Intn(width)
+			}
+			if err := batched.IngestBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range batch {
+				if err := single.Ingest(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := batched.IngestBatch(append(batch, width)); !errors.Is(err, ErrBadReport) {
+				t.Fatalf("%s: batch ending out of range: err = %v, want ErrBadReport", scheme.Kind(), err)
+			}
+		}
+		got, want := batched.Counts(), single.Counts()
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("%s: counts[%d] = %d after batches, %d after single reports", scheme.Kind(), k, got[k], want[k])
+			}
+		}
+		if got := reg.Counter("collector.reports").Value(); got != int64(single.Count()) {
+			t.Fatalf("%s: collector.reports = %d, want %d", scheme.Kind(), got, single.Count())
+		}
 	}
 }
 

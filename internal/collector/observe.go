@@ -4,82 +4,59 @@ import (
 	"fmt"
 
 	"optrr/internal/obs"
+	"optrr/internal/rr"
 )
 
 // This file instruments the collection pipeline. A bare Collector carries a
 // nil *instrumentation and pays nothing; Instrument attaches counters
-// (ingestion volume, per-category report counts, malformed reports), gauges
-// (running confidence margin) and structured events ("collector.batch" per
-// batch, "collector.snapshot" per consistency query). Single-report Ingest
-// updates counters only — at millions of respondents an event per report
-// would drown the trace.
+// (malformed reports, batches, snapshots), gauges (running confidence
+// margin), structured events ("collector.batch" per batch,
+// "collector.snapshot" per consistency query) and the report series. Those
+// series (report volume, per-category counts) cost ingestion nothing: the
+// shard counts already hold them, so a scrape reads them from there.
+// Single-report Ingest touches no metric — at millions of respondents even
+// one shared increment per report would bring back the cross-core
+// contention the shards remove.
 
-// instrumentation caches the metric pointers the ingestion hot path touches.
+// instrumentation caches the metric pointers the ingestion path touches.
 type instrumentation struct {
 	rec        obs.Recorder
-	ingested   *obs.Counter   // collector.reports
 	batches    *obs.Counter   // collector.batches
 	badReports *obs.Counter   // collector.bad_reports
 	snapshots  *obs.Counter   // collector.snapshots
-	perCat     []*obs.Counter // collector.reports.cat<k>
 	margin     *obs.Gauge     // collector.margin (worst half-width at last snapshot)
 	batchSize  *obs.Histogram // collector.batch_size
 }
 
-// newInstrumentation builds the metric set for a collector with n
-// per-category series (0 for schemes whose reports are not categories).
-// Either rec or reg may be nil: a nil rec records nothing, a nil reg sends
-// the metrics to a private unpublished registry — callers wanting them
-// served must pass their own.
-func newInstrumentation(rec obs.Recorder, reg *obs.Registry, n int) *instrumentation {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	ins := &instrumentation{
+// newInstrumentation builds the event-driven metric set on reg. A nil rec
+// records nothing.
+func newInstrumentation(rec obs.Recorder, reg *obs.Registry) *instrumentation {
+	return &instrumentation{
 		rec:        obs.OrNop(rec),
-		ingested:   reg.Counter("collector.reports"),
 		batches:    reg.Counter("collector.batches"),
 		badReports: reg.Counter("collector.bad_reports"),
 		snapshots:  reg.Counter("collector.snapshots"),
-		perCat:     make([]*obs.Counter, n),
 		margin:     reg.Gauge("collector.margin"),
 		batchSize: reg.Histogram("collector.batch_size",
 			[]float64{1, 10, 100, 1000, 10000, 100000}),
 	}
-	for k := range ins.perCat {
-		ins.perCat[k] = reg.Counter(fmt.Sprintf("collector.reports.cat%d", k))
-	}
-	return ins
 }
 
-// observeIngest updates the per-report counters. The per-category counter is
-// bounds-guarded: a sketch collector registers no per-category series (its
-// report space is k·m sketch cells, not meaningful categories), so its
-// instrumentation has an empty perCat.
-func (ins *instrumentation) observeIngest(report int) {
-	if ins == nil {
+// serveReportSeries registers the report series as func-backed counters
+// over the shards: collector.reports sums every cell, and a dense scheme's
+// collector.reports.cat<k> sums cell k. Each subtracts what the shards held
+// now, so the series count the reports landed after Instrument — single
+// reports, batches, merges and flushed Writer buffers alike — and agree
+// with Count less that baseline. A scrape takes no shard lock.
+func (c *Collector) serveReportSeries(reg *obs.Registry) {
+	base, total := c.fold()
+	set := &c.set
+	reg.CounterFunc("collector.reports", func() int64 { return set.total() - int64(total) })
+	if _, dense := c.scheme.(*rr.Matrix); !dense {
 		return
 	}
-	ins.ingested.Inc()
-	if report < len(ins.perCat) {
-		ins.perCat[report].Inc()
-	}
-}
-
-// observeReports updates the report counters for a landed batch: one add
-// to the volume counter, and one increment per report to its category's
-// series. A dense collector's perCat spans the whole report space the batch
-// was validated against; a sketch's is empty.
-func (ins *instrumentation) observeReports(reports []int) {
-	if ins == nil {
-		return
-	}
-	ins.ingested.Add(int64(len(reports)))
-	if len(ins.perCat) == 0 {
-		return
-	}
-	for _, r := range reports {
-		ins.perCat[r].Inc()
+	for k, b := range base {
+		reg.CounterFunc(fmt.Sprintf("collector.reports.cat%d", k), func() int64 { return set.cell(k) - int64(b) })
 	}
 }
 

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"encoding/json"
 	"testing"
 
 	"optrr/internal/obs"
@@ -105,39 +106,113 @@ func TestInstrumentNilRegistryStillWorks(t *testing.T) {
 	}
 }
 
-// TestUninstrumentedAndNopIngestAllocations guards the zero-overhead claim:
-// neither a bare collector nor one instrumented with a no-op recorder may
-// allocate on the per-report hot path, nor on a batch (which must not fold
-// the shards for a trace event nobody records).
+// TestReportSeriesCountLandedReports pins what the scrape-time report
+// series count: every report landed since Instrument, merged reports
+// included and a Writer's only once flushed, and none of the reports a
+// restored snapshot already held.
+func TestReportSeriesCountLandedReports(t *testing.T) {
+	m := mustWarner(t, 3, 0.7)
+	donor := New(m, 2)
+	if err := donor.IngestBatch([]int{0, 0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Restore(data, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	c.Instrument(nil, reg)
+	check := func(when string, want ...int64) {
+		t.Helper()
+		for i, name := range []string{"collector.reports", "collector.reports.cat0", "collector.reports.cat1", "collector.reports.cat2"} {
+			if got := reg.Counter(name).Value(); got != want[i] {
+				t.Fatalf("%s: %s = %d, want %d", when, name, got, want[i])
+			}
+		}
+	}
+	check("after Restore", 0, 0, 0, 0)
+
+	if err := c.Merge(donor); err != nil {
+		t.Fatal(err)
+	}
+	check("after Merge", 4, 2, 1, 1)
+
+	w := c.NewWriter(100)
+	for i := 0; i < 2; i++ {
+		if err := w.Ingest(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("with a Writer's reports buffered", 4, 2, 1, 1)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Flush", 6, 2, 3, 1)
+}
+
+// TestUninstrumentedAndNopIngestAllocations guards the zero-overhead claim.
+// Neither a bare collector nor one instrumented with a registry and a no-op
+// recorder may allocate on any ingest path: a single report, a small batch,
+// a 1000-report dense batch (4 distinct cells in the pooled tally), a
+// 1000-report sketch batch (hundreds of distinct cells out of k·m = 4096),
+// or a Writer's Ingest and Flush. No batch may fold the shards for a trace
+// event nobody records. The instrumented registry then reads back every
+// landed report.
 func TestUninstrumentedAndNopIngestAllocations(t *testing.T) {
 	m, err := rr.Warner(4, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := New(m, 1)
-	if n := testing.AllocsPerRun(200, func() {
-		if err := bare.Ingest(2); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("bare Ingest allocated %v times per run, want 0", n)
+	cms := testCMS(t, 100000, 16, 256)
+	small := []int{0, 1, 2, 3, 2, 1}
+	dense := make([]int, 1000)
+	for i := range dense {
+		dense[i] = (i * 7) % 4
 	}
-
-	nop := New(m, 1)
-	nop.Instrument(nil, obs.NewRegistry())
-	if n := testing.AllocsPerRun(200, func() {
-		if err := nop.Ingest(2); err != nil {
-			t.Fatal(err)
+	sketched := sketchReports(t, cms, 1000, 1)
+	for _, instrumented := range []bool{false, true} {
+		c, sc := New(m, 1), New(cms, 1)
+		reg, sreg := obs.NewRegistry(), obs.NewRegistry()
+		if instrumented {
+			c.Instrument(nil, reg)
+			sc.Instrument(nil, sreg)
 		}
-	}); n != 0 {
-		t.Fatalf("nop-instrumented Ingest allocated %v times per run, want 0", n)
-	}
-	batch := []int{0, 1, 2, 3, 2, 1}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := nop.IngestBatch(batch); err != nil {
-			t.Fatal(err)
+		w := c.NewWriter(0)
+		for _, tc := range []struct {
+			name   string
+			ingest func() error
+		}{
+			{"Ingest", func() error { return c.Ingest(2) }},
+			{"small IngestBatch", func() error { return c.IngestBatch(small) }},
+			{"dense 1000-report IngestBatch", func() error { return c.IngestBatch(dense) }},
+			{"sketch 1000-report IngestBatch", func() error { return sc.IngestBatch(sketched) }},
+			{"Writer Ingest and Flush", func() error {
+				if err := w.Ingest(3); err != nil {
+					return err
+				}
+				return w.Flush()
+			}},
+		} {
+			if n := testing.AllocsPerRun(200, func() {
+				if err := tc.ingest(); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("%s (instrumented %v) allocated %v times per run, want 0", tc.name, instrumented, n)
+			}
 		}
-	}); n != 0 {
-		t.Fatalf("nop-instrumented IngestBatch allocated %v times per run, want 0", n)
+		if !instrumented {
+			continue
+		}
+		if got, want := reg.Counter("collector.reports").Value(), int64(c.Count()); got != want {
+			t.Fatalf("dense collector.reports = %d, want %d", got, want)
+		}
+		if got, want := sreg.Counter("collector.reports").Value(), int64(sc.Count()); got != want {
+			t.Fatalf("sketch collector.reports = %d, want %d", got, want)
+		}
 	}
 }

@@ -14,8 +14,10 @@ import (
 // -cpu 1,4): ingesting goroutines (single reports and batches) race against
 // query goroutines hammering Snapshot, MarginOfError, ReportsForMargin,
 // Count, the JSON snapshot and Merge, with full instrumentation attached so
-// the recorder and registry paths are raced too. Consistent queries must
-// always see a whole number of reports and a valid distribution.
+// the recorder and registry paths are raced too, and a scraper rendering the
+// registry (whose report series read the shards) as JSON and Prometheus
+// text throughout. Consistent queries must always see a whole number of
+// reports and a valid distribution.
 func TestShardedCollectorConcurrentIngestAndSummary(t *testing.T) {
 	m := mustWarner(t, 5, 0.75)
 	s := New(m, 8)
@@ -105,6 +107,23 @@ func TestShardedCollectorConcurrentIngestAndSummary(t *testing.T) {
 			}
 		}()
 	}
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+			_ = reg.String()
+		}
+	}()
 
 	want := ingesters*each + batchers*(each/batchSize)*batchSize
 	writers.Wait()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"optrr/internal/obs"
 	"optrr/internal/randx"
 	"optrr/internal/rr"
 )
@@ -197,6 +198,14 @@ func TestShardedMerge(t *testing.T) {
 	if b.Count() != 500 {
 		t.Fatalf("source count = %d after merge, want 500", b.Count())
 	}
+	// Merging a collector into itself is refused and changes nothing: it
+	// would double every count and shrink every stated half-width by √2.
+	if err := a.Merge(a); err == nil {
+		t.Fatal("merging a collector into itself accepted")
+	}
+	if a.Count() != 1000 {
+		t.Fatalf("count = %d after a refused self-merge, want 1000", a.Count())
+	}
 
 	// Merging across different matrices is refused.
 	other := New(mustWarner(t, 4, 0.9), 2)
@@ -368,7 +377,10 @@ func TestWritersSpreadAcrossShards(t *testing.T) {
 // BenchmarkCollectorContention measures the sharded atomic counters under
 // 1-, 4- and 16-goroutine ingestion, plus a buffered-Writer batch-ingest
 // case driven through b.RunParallel. Reports are pregenerated outside the
-// timer; each goroutine ingests a disjoint slice.
+// timer; each goroutine ingests a disjoint slice. The .../instrumented cases
+// repeat the 4-goroutine and Writer runs on a collector instrumented with a
+// registry, so a per-report metric update on the ingest path would show
+// here as shared-cache-line contention.
 func BenchmarkCollectorContention(b *testing.B) {
 	m, err := rr.Warner(5, 0.75)
 	if err != nil {
@@ -402,13 +414,12 @@ func BenchmarkCollectorContention(b *testing.B) {
 		}
 		wg.Wait()
 	}
-	for _, g := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("sharded/g%d", g), func(b *testing.B) {
-			run(b, New(m, 16), g)
-		})
-	}
-	b.Run("writer/batch", func(b *testing.B) {
+	instrumented := func() *Collector {
 		c := New(m, 16)
+		c.Instrument(nil, obs.NewRegistry())
+		return c
+	}
+	writers := func(b *testing.B, c *Collector) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -423,5 +434,13 @@ func BenchmarkCollectorContention(b *testing.B) {
 			}
 			w.Flush()
 		})
-	})
+	}
+	for _, g := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("sharded/g%d", g), func(b *testing.B) {
+			run(b, New(m, 16), g)
+		})
+	}
+	b.Run("sharded/g4/instrumented", func(b *testing.B) { run(b, instrumented(), 4) })
+	b.Run("writer/batch", func(b *testing.B) { writers(b, New(m, 16)) })
+	b.Run("writer/batch/instrumented", func(b *testing.B) { writers(b, instrumented()) })
 }

@@ -72,6 +72,21 @@ func (s *shardSet) home() *shard {
 	return &s.shards[int(page)&(len(s.shards)-1)]
 }
 
+// land adds a per-cell count vector to the shard, one atomic add per
+// non-zero cell, under the shard mutex so the whole vector is either in a
+// query's fold or not at all. The adds stay atomic because lock-free single
+// reports may land on the same shard concurrently. Writer.Flush's buffer,
+// Merge's fold and Restore's counts land here.
+func (sh *shard) land(cells []int) {
+	sh.mu.Lock()
+	for k, v := range cells {
+		if v != 0 {
+			sh.counts[k].Add(int64(v))
+		}
+	}
+	sh.mu.Unlock()
+}
+
 // lockAll acquires every shard lock in index order (the fixed order makes
 // nested acquisition deadlock-free) and returns the unlock function. Holding
 // all locks excludes batch-style writers; single-report ingesters are
@@ -102,4 +117,26 @@ func (s *shardSet) countsLocked() ([]int, int) {
 		}
 	}
 	return out, total
+}
+
+// cell sums report k's count across the shards with atomic loads and no
+// lock: a scrape-time read that never stalls an ingester, and may see part
+// of a batch that is still landing.
+func (s *shardSet) cell(k int) int64 {
+	var n int64
+	for i := range s.shards {
+		n += s.shards[i].counts[k].Load()
+	}
+	return n
+}
+
+// total is cell summed over the report space, read the same way.
+func (s *shardSet) total() int64 {
+	var n int64
+	for i := range s.shards {
+		for k := range s.shards[i].counts {
+			n += s.shards[i].counts[k].Load()
+		}
+	}
+	return n
 }

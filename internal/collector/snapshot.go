@@ -78,9 +78,6 @@ func Restore(data []byte, shards int) (*Collector, error) {
 		return nil, fmt.Errorf("%w: total %d but counts sum to %d", ErrBadSnapshot, *raw.Total, sum)
 	}
 	c := New(scheme, shards)
-	sh := &c.set.shards[0]
-	for k, v := range raw.Counts {
-		sh.counts[k].Store(int64(v))
-	}
+	c.set.shards[0].land(raw.Counts)
 	return c, nil
 }

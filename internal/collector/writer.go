@@ -1,7 +1,5 @@
 package collector
 
-import "fmt"
-
 // Writer is a per-goroutine ingestion front for a Collector: reports
 // accumulate in a goroutine-local per-report buffer and flush to the
 // collector's shards in batches, so a high-rate ingester pays one shard
@@ -12,8 +10,8 @@ import "fmt"
 //
 // A Writer is NOT safe for concurrent use — that is the point; give each
 // ingesting goroutine its own. Buffered reports are invisible to queries
-// until they flush, and a flushed batch lands atomically exactly like
-// IngestBatch.
+// and to the report metrics until they flush, and a flushed batch lands
+// atomically exactly like IngestBatch.
 //
 // Lifecycle: the owning goroutine must call Close before returning — a
 // Writer that is dropped with buffered reports silently loses them, which is
@@ -59,12 +57,10 @@ func (w *Writer) Ingest(report int) error {
 		if w.closed {
 			return ErrWriterClosed
 		}
-		w.c.ins.observeBad()
-		return fmt.Errorf("%w: %d of report space %d", ErrBadReport, report, len(w.pending))
+		return w.c.badReport(report)
 	}
 	w.pending[report]++
 	w.n++
-	w.c.ins.observeIngest(report)
 	if w.n >= w.limit {
 		return w.Flush()
 	}
@@ -83,13 +79,7 @@ func (w *Writer) Flush() error {
 	if w.n == 0 {
 		return nil
 	}
-	w.sh.mu.Lock()
-	for k, v := range w.pending {
-		if v != 0 {
-			w.sh.counts[k].Add(int64(v))
-		}
-	}
-	w.sh.mu.Unlock()
+	w.sh.land(w.pending)
 	flushed := w.n
 	for k := range w.pending {
 		w.pending[k] = 0

@@ -12,9 +12,12 @@ import (
 )
 
 // Counter is a monotonically increasing integer metric. All methods are
-// safe for concurrent use and allocation-free.
+// safe for concurrent use and allocation-free. A counter made by
+// Registry.CounterFunc reads its value from a function instead of its own
+// count.
 type Counter struct {
-	v atomic.Int64
+	v  atomic.Int64
+	fn atomic.Pointer[func() int64] // value source set by CounterFunc; nil reads v
 }
 
 // Inc adds one.
@@ -28,11 +31,17 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value returns the current count, or the value function's result for a
+// counter made by Registry.CounterFunc.
+func (c *Counter) Value() int64 {
+	if fn := c.fn.Load(); fn != nil {
+		return (*fn)()
+	}
+	return c.v.Load()
+}
 
 // String implements expvar.Var.
-func (c *Counter) String() string { return strconv.FormatInt(c.v.Load(), 10) }
+func (c *Counter) String() string { return strconv.FormatInt(c.Value(), 10) }
 
 // Gauge is a float-valued metric that can move in both directions. All
 // methods are safe for concurrent use and allocation-free.
@@ -167,6 +176,20 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		panic(fmt.Sprintf("obs: metric %q is a %T, not a counter", name, v))
 	}
+	return c
+}
+
+// CounterFunc returns the counter with the given name, creating it if
+// needed, and makes fn its value: Value, the JSON rendering and the
+// Prometheus exposition call fn on every read instead of reading the
+// counter's own count, which Inc and Add then no longer show. It suits a
+// count already kept elsewhere that is cheaper to read at scrape time than
+// to mirror on every update. fn must be safe for concurrent use and should
+// never decrease. Calling CounterFunc again for the same name replaces fn.
+// It panics if the name is already taken by a different metric kind.
+func (r *Registry) CounterFunc(name string, fn func() int64) *Counter {
+	c := r.Counter(name)
+	c.fn.Store(&fn)
 	return c
 }
 

@@ -99,6 +99,43 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	r.Gauge("hits")
 }
 
+// TestCounterFunc: a func-backed counter renders exactly like a plain one
+// holding the same value — in Value, the JSON document and the Prometheus
+// exposition — stays reachable through Registry.Counter, reads fn at every
+// call, and takes a new fn when registered again.
+func TestCounterFunc(t *testing.T) {
+	plain, funcs := NewRegistry(), NewRegistry()
+	plain.Counter("reports").Add(42)
+	var n int64 = 42
+	fc := funcs.CounterFunc("reports", func() int64 { return n })
+	fc.Inc() // ignored: the value comes from fn
+
+	if got := funcs.Counter("reports"); got != fc || got.Value() != 42 {
+		t.Fatalf("Counter lookup = %p (Value %d), want %p (42)", got, got.Value(), fc)
+	}
+	if p, f := plain.String(), funcs.String(); p != f {
+		t.Fatalf("JSON rendering %s, want %s", f, p)
+	}
+	var p, f strings.Builder
+	if err := plain.WritePrometheus(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := funcs.WritePrometheus(&f); err != nil {
+		t.Fatal(err)
+	}
+	if p.String() != f.String() {
+		t.Fatalf("Prometheus exposition %q, want %q", f.String(), p.String())
+	}
+
+	n = 50
+	if got := fc.String(); got != "50" {
+		t.Fatalf("String after the source moved = %q, want \"50\"", got)
+	}
+	if again := funcs.CounterFunc("reports", func() int64 { return 7 }); again != fc || fc.Value() != 7 {
+		t.Fatalf("re-registered CounterFunc: Value %d, want 7 on the same counter", fc.Value())
+	}
+}
+
 func TestRegistryStringIsJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Inc()
