@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -203,8 +204,8 @@ func validateFlags(f flags) error {
 			return fmt.Errorf("-warner must be in [0, 1], got %v", f.warnerP)
 		}
 	}
-	if !(f.z > 0) {
-		return fmt.Errorf("-z must be positive, got %v", f.z)
+	if !(f.z > 0) || math.IsInf(f.z, 1) {
+		return fmt.Errorf("-z must be a positive finite number, got %v", f.z)
 	}
 	if f.maxBatch <= 0 {
 		return fmt.Errorf("-max-batch must be positive, got %d", f.maxBatch)

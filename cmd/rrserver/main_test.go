@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,6 +30,7 @@ func TestValidateFlags(t *testing.T) {
 		{"warner above 1", func(f *flags) { f.warnerP = 1.5 }, "-warner"},
 		{"matrix file skips scheme flags", func(f *flags) { f.matrixPath = "m.json"; f.categories = 1 }, ""},
 		{"zero z", func(f *flags) { f.z = 0 }, "-z"},
+		{"infinite z", func(f *flags) { f.z = math.Inf(1) }, "-z"},
 		{"negative max batch", func(f *flags) { f.maxBatch = -1 }, "-max-batch"},
 		{"loadtest bad batch", func(f *flags) { f.loadtest = 10; f.loadBatch = 0 }, "-loadtest-batch"},
 		{"loadtest bad workers", func(f *flags) { f.loadtest = 10; f.loadWorkers = 0 }, "-loadtest-workers"},

@@ -64,13 +64,18 @@ var (
 // Instrument attaches live metrics and structured trace events; a bare
 // collector carries no instrumentation and pays nothing for the hooks.
 //
-// The zero value is not usable; construct with New or Restore.
+// The zero value is not usable; construct with New, NewEncoded, Restore or
+// RestoreOnto.
 type Collector struct {
 	scheme rr.Scheme
-	bounds bounds
-	set    shardSet
-	cursor atomic.Uint64 // round-robins Writer shard assignment only
-	ins    *instrumentation
+	// encoded is the scheme's envelope and version, computed on first use
+	// (or handed over by NewEncoded) and kept: the scheme is fixed for the
+	// collector's lifetime, so snapshots and Merge never encode it again.
+	encoded func() (encodedScheme, error)
+	bounds  bounds
+	set     shardSet
+	cursor  atomic.Uint64 // round-robins Writer shard assignment only
+	ins     *instrumentation
 	// tallies recycles IngestBatch's ReportSpace-wide per-cell tallies
 	// (*[]int, zeroed between uses), so steady-state batch landing
 	// allocates nothing.
@@ -82,9 +87,32 @@ type Collector struct {
 // default sized to GOMAXPROCS). A singular dense matrix is accepted —
 // ingestion works, estimate queries return rr.ErrSingular.
 func New(scheme rr.Scheme, shards int) *Collector {
+	return newCollector(scheme, nil, shards)
+}
+
+// NewEncoded is New for a caller that already holds the scheme's envelope:
+// env must be what rr.MarshalScheme(scheme) returns, and the collector
+// writes it into its snapshots as it is instead of encoding the scheme
+// again. The caller must not modify env afterwards.
+func NewEncoded(scheme rr.Scheme, env []byte, shards int) *Collector {
+	return newCollector(scheme, env, shards)
+}
+
+// newCollector builds a collector over scheme, encoding the scheme on first
+// use when env is nil.
+func newCollector(scheme rr.Scheme, env []byte, shards int) *Collector {
 	width := scheme.ReportSpace()
 	return &Collector{
 		scheme: scheme,
+		encoded: sync.OnceValues(func() (encodedScheme, error) {
+			if env == nil {
+				var err error
+				if env, err = rr.MarshalScheme(scheme); err != nil {
+					return encodedScheme{}, err
+				}
+			}
+			return encodedScheme{env: env, version: rr.EnvelopeVersion(env)}, nil
+		}),
 		bounds: boundsFor(scheme),
 		set:    newShardSet(shards, width),
 		tallies: sync.Pool{New: func() any {
@@ -94,8 +122,22 @@ func New(scheme rr.Scheme, shards int) *Collector {
 	}
 }
 
+// encodedScheme is a scheme's rr.MarshalScheme envelope and the
+// rr.EnvelopeVersion of it.
+type encodedScheme struct {
+	env     []byte
+	version string
+}
+
 // Scheme returns the scheme the reports are disguised with.
 func (c *Collector) Scheme() rr.Scheme { return c.scheme }
+
+// SchemeVersion returns rr.SchemeVersion of the collector's scheme, from
+// the envelope the collector encodes once and keeps.
+func (c *Collector) SchemeVersion() (string, error) {
+	enc, err := c.encoded()
+	return enc.version, err
+}
 
 // Categories returns the original domain size the scheme covers.
 func (c *Collector) Categories() int { return c.scheme.Domain() }
@@ -313,11 +355,11 @@ func (c *Collector) Merge(other *Collector) error {
 	if c.set.width != other.set.width {
 		return fmt.Errorf("%w: merging report space %d into %d", rr.ErrShape, other.set.width, c.set.width)
 	}
-	cv, err := rr.SchemeVersion(c.scheme)
+	cv, err := c.SchemeVersion()
 	if err != nil {
 		return err
 	}
-	ov, err := rr.SchemeVersion(other.scheme)
+	ov, err := other.SchemeVersion()
 	if err != nil {
 		return err
 	}

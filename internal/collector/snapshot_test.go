@@ -1,12 +1,16 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"optrr/internal/randx"
+	"optrr/internal/rr"
+	"optrr/internal/sketch"
 )
 
 // TestSnapshotCarriesTotal: the crash-recovery wire form records the total
@@ -131,5 +135,154 @@ func TestWriterCloseLifecycle(t *testing.T) {
 	}
 	if got := c.Count(); got != 7 {
 		t.Fatalf("idempotent close/flush changed counts: %d, want 7", got)
+	}
+}
+
+// nestedSnapshot is the reference for Collector.MarshalJSON: the snapshot
+// composed the way json.Marshal(c) wrote it before the collector appended
+// its parts — the envelope as a json.RawMessage in snapshotJSON, marshalled,
+// and that result compacted once more as the collector's json.Marshaler
+// output. The envelope itself is rr.MarshalScheme's, which package sketch
+// pins against its own nested composition.
+func nestedSnapshot(c *Collector) ([]byte, error) {
+	env, err := rr.MarshalScheme(c.Scheme())
+	if err != nil {
+		return nil, err
+	}
+	counts, total := c.fold()
+	inner, err := json.Marshal(snapshotJSON{Scheme: env, Counts: counts, Total: &total})
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(json.RawMessage(inner))
+}
+
+// checkSnapshotEncoding asserts that c.MarshalJSON, and json.Marshal(c),
+// write the reference composition's bytes.
+func checkSnapshotEncoding(t *testing.T, c *Collector) []byte {
+	t.Helper()
+	want, err := nestedSnapshot(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot differs from the nested composition:\n got %.300s\nwant %.300s", got, want)
+	}
+	viaJSON, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viaJSON, want) {
+		t.Fatalf("json.Marshal(collector) differs from the nested composition:\n got %.300s\nwant %.300s", viaJSON, want)
+	}
+	return got
+}
+
+// TestSnapshotEncodingMatchesNested: a snapshot is the nested json.Marshal
+// composition byte for byte for dense and sketch schemes, empty or not,
+// and its envelope carries the deployed shapes' pinned fingerprints.
+func TestSnapshotEncodingMatchesNested(t *testing.T) {
+	krr, err := sketch.NewKRR(100000, 16, 256, 5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		scheme  rr.Scheme
+		version string
+	}{
+		{"dense", mustWarner(t, 10, 0.75), "f0cb2026d9c612ba"},
+		{"cms", krr, "bb26ee72a23d84cd"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(tc.scheme, 2)
+			checkSnapshotEncoding(t, c)
+			reports := make([]int, 5000)
+			rng := randx.New(3)
+			for i := range reports {
+				reports[i] = rng.Intn(c.ReportSpace())
+			}
+			if err := c.IngestBatch(reports); err != nil {
+				t.Fatal(err)
+			}
+			data := checkSnapshotEncoding(t, c)
+			var raw snapshotJSON
+			if err := json.Unmarshal(data, &raw); err != nil {
+				t.Fatal(err)
+			}
+			if v := rr.EnvelopeVersion(raw.Scheme); v != tc.version {
+				t.Fatalf("snapshot envelope version %s, want %s", v, tc.version)
+			}
+		})
+	}
+}
+
+// TestRestoreOnto: a snapshot whose envelope is the running scheme's byte
+// for byte restores onto that scheme; every other snapshot restores as
+// Restore does, onto the scheme it decodes, and a corrupt one is refused on
+// either path.
+func TestRestoreOnto(t *testing.T) {
+	scheme := testCMS(t, 500, 4, 16)
+	env, err := rr.MarshalScheme(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(scheme, 2)
+	if err := c.IngestBatch(sketchReports(t, scheme, 3000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, snap, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	other := New(testCMS(t, 500, 4, 32), 1)
+	otherSnap, err := other.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, _ := c.SchemeVersion()
+	otherVersion, _ := other.SchemeVersion()
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		onto    bool // restored onto the running scheme itself
+		version string
+		count   int
+	}{
+		{"own snapshot", snap, true, version, 3000},
+		{"re-indented envelope", indented.Bytes(), false, version, 3000},
+		{"another scheme", otherSnap, false, otherVersion, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := RestoreOnto(tc.data, 2, scheme, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if onto := got.Scheme() == rr.Scheme(scheme); onto != tc.onto {
+				t.Fatalf("restored onto the running scheme: %v, want %v", onto, tc.onto)
+			}
+			if v, err := got.SchemeVersion(); err != nil || v != tc.version {
+				t.Fatalf("version %s (%v), want %s", v, err, tc.version)
+			}
+			plain, err := Restore(tc.data, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Count() != tc.count || !slices.Equal(got.Counts(), plain.Counts()) {
+				t.Fatalf("counts differ from Restore's: %d reports, want %d", got.Count(), tc.count)
+			}
+		})
+	}
+	corrupt := bytes.Replace(snap, []byte(`"total":3000`), []byte(`"total":2999`), 1)
+	if _, err := RestoreOnto(corrupt, 2, scheme, env); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("corrupt total on the running scheme's envelope: err = %v, want ErrBadSnapshot", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"optrr/internal/emoo"
@@ -1088,32 +1089,32 @@ func (t *generationTally) add(c genomeOutcome) {
 // parallelFor runs fn(worker, i) for i in [0, n) on the configured worker
 // count. The worker index identifies which goroutine is calling, so callers
 // can hand each goroutine exclusive scratch state; the index partition never
-// affects results because scratch contents are overwritten per item.
+// affects results because scratch contents are overwritten per item. The
+// calling goroutine is worker 0 and only Workers−1 helpers are started;
+// every worker claims its next index from a shared atomic counter, so no
+// goroutine only hands out work.
 func (o *engine[G]) parallelFor(n int, fn func(worker, i int)) {
-	workers := o.cfg.Workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(o.cfg.Workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
 		return
 	}
+	var next atomic.Int64
+	work := func(w int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(w, i)
+		}
+	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for i := range next {
-				fn(w, i)
-			}
+			work(w)
 		}(w)
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	work(0)
 	wg.Wait()
 }

@@ -8,6 +8,7 @@
 // POST /v1/reports batch: AppendBatch writes exactly what json.Marshal
 // writes for a BatchRequest, and DecodeBatch reads it back in one pass
 // without reflection, under a strict grammar documented on DecodeBatch.
+// EncodeSchemeResponse writes the GET /v1/scheme body a server builds once.
 // Every other body goes through encoding/json with the types below.
 //
 // The protocol is the paper's Section I split made literal: the private
@@ -56,6 +57,53 @@ type SchemeResponse struct {
 	Version string          `json:"version,omitempty"`
 	Matrix  *rr.Matrix      `json:"matrix,omitempty"`
 	Z       float64         `json:"z"`
+}
+
+// EncodeSchemeResponse returns the GET /v1/scheme body for resp: byte for
+// byte what json.NewEncoder(w).Encode(resp) writes, trailing newline
+// included. The envelope in resp.Scheme is appended as it is, so it must be
+// compact JSON, as rr.MarshalScheme writes it; encoding/json would re-scan
+// and compact it, and a sketch's envelope is 1.4 MB at hash range 256. A
+// server encodes its body once and serves the bytes.
+func EncodeSchemeResponse(resp SchemeResponse) ([]byte, error) {
+	var matrix []byte
+	if resp.Matrix != nil {
+		var err error
+		if matrix, err = resp.Matrix.MarshalJSON(); err != nil {
+			return nil, err
+		}
+	}
+	// The short members go through encoding/json, which keeps its escaping
+	// and float formatting; z fails here if it is not finite.
+	z, err := json.Marshal(resp.Z)
+	if err != nil {
+		return nil, err
+	}
+	kind, _ := json.Marshal(resp.Kind)       // a string always encodes
+	version, _ := json.Marshal(resp.Version) // a string always encodes
+	b := make([]byte, 0, len(resp.Scheme)+len(matrix)+len(kind)+len(version)+64)
+	b = append(b, '{')
+	member := func(name string, value []byte) {
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(b, name...)
+		b = append(b, value...)
+	}
+	if resp.Kind != "" {
+		member(`"kind":`, kind)
+	}
+	if len(resp.Scheme) > 0 {
+		member(`"scheme":`, resp.Scheme)
+	}
+	if resp.Version != "" {
+		member(`"version":`, version)
+	}
+	if matrix != nil {
+		member(`"matrix":`, matrix)
+	}
+	member(`"z":`, z)
+	return append(b, "}\n"...), nil
 }
 
 // EstimateResponse is the body of GET /v1/estimate: the debiased frequency

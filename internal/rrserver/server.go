@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -100,13 +101,13 @@ type Config struct {
 // and the snapshot loop. Construct with New, mount with Register, run the
 // persistence loop with Run.
 type Server struct {
-	cfg       Config
-	schemeEnv json.RawMessage // kind-tagged envelope, marshaled once
-	version   string          // rr.SchemeVersion fingerprint, doubles as the ETag
-	col       *collector.Collector
-	rec       obs.Recorder
-	logf      func(string, ...any)
-	restored  bool
+	cfg        Config
+	schemeBody []byte // the GET /v1/scheme 200 body, encoded once
+	version    string // rr.SchemeVersion fingerprint, doubles as the ETag
+	col        *collector.Collector
+	rec        obs.Recorder
+	logf       func(string, ...any)
+	restored   bool
 	// reportWidth is the digit width of the largest report index.
 	reportWidth int64
 
@@ -128,8 +129,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Z == 0 {
 		cfg.Z = DefaultZ
 	}
-	if !(cfg.Z > 0) {
-		return nil, fmt.Errorf("rrserver: z must be positive, got %v", cfg.Z)
+	if !(cfg.Z > 0) || math.IsInf(cfg.Z, 1) {
+		return nil, fmt.Errorf("rrserver: z must be a positive finite number, got %v", cfg.Z)
 	}
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 30 * time.Second
@@ -140,16 +141,31 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
+	// The deployed scheme is encoded once: the envelope is the /v1/scheme
+	// body's payload, the fingerprint the ETag, and the collector keeps it
+	// for every snapshot.
 	env, err := rr.MarshalScheme(cfg.Scheme)
 	if err != nil {
 		return nil, fmt.Errorf("rrserver: encoding deployed scheme: %w", err)
 	}
+	version := rr.EnvelopeVersion(env)
+	dense, _ := cfg.Scheme.(*rr.Matrix) // old clients read the legacy matrix field
+	body, err := rrapi.EncodeSchemeResponse(rrapi.SchemeResponse{
+		Kind:    cfg.Scheme.Kind(),
+		Scheme:  env,
+		Version: version,
+		Matrix:  dense,
+		Z:       cfg.Z,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("rrserver: encoding the /v1/scheme body: %w", err)
+	}
 	s := &Server{
-		cfg:       cfg,
-		schemeEnv: env,
-		version:   rr.EnvelopeVersion(env),
-		rec:       obs.OrNop(cfg.Recorder),
-		logf:      cfg.Logf,
+		cfg:        cfg,
+		schemeBody: body,
+		version:    version,
+		rec:        obs.OrNop(cfg.Recorder),
+		logf:       cfg.Logf,
 		ingestLat: cfg.Registry.Histogram("rrserver.ingest_ns",
 			obs.LogBuckets(1000, 4, 12)), // 1µs .. ~4s
 		httpErrs:     cfg.Registry.Counter("rrserver.http_errors"),
@@ -163,21 +179,25 @@ func New(cfg Config) (*Server, error) {
 		s.logf = log.Printf
 	}
 	if cfg.SnapshotPath != "" {
-		s.col = s.recover(cfg.SnapshotPath)
+		s.col = s.recover(cfg.SnapshotPath, env)
 	}
 	if s.col == nil {
-		s.col = collector.New(cfg.Scheme, cfg.Shards)
+		s.col = collector.NewEncoded(cfg.Scheme, env, cfg.Shards)
 	}
 	s.col.Instrument(cfg.Recorder, cfg.Registry)
 	return s, nil
 }
 
 // recover restores the collector from path, or returns nil to start fresh.
-// Only a clean "file does not exist" is silent. A snapshot that fails
-// collector.Restore, or whose scheme version is not the deployed one, is
-// moved aside to <path>.rejected — the next persist would otherwise
-// overwrite the only copy of that campaign — with one logged warning.
-func (s *Server) recover(path string) *collector.Collector {
+// Only a clean "file does not exist" is silent. A snapshot that the server
+// itself wrote under the deployed scheme carries env byte for byte, and
+// collector.RestoreOnto lands its counts on cfg.Scheme without decoding the
+// scheme again. Any other snapshot is decoded and its scheme's version
+// compared with the deployed one. A snapshot that fails to restore, or
+// whose version differs, is moved aside to <path>.rejected — the next
+// persist would otherwise overwrite the only copy of that campaign — with
+// one logged warning.
+func (s *Server) recover(path string, env []byte) *collector.Collector {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -186,9 +206,9 @@ func (s *Server) recover(path string) *collector.Collector {
 		return nil
 	}
 	var version string
-	col, err := collector.Restore(data, s.cfg.Shards)
+	col, err := collector.RestoreOnto(data, s.cfg.Shards, s.cfg.Scheme, env)
 	if err == nil {
-		version, err = rr.SchemeVersion(col.Scheme())
+		version, err = col.SchemeVersion()
 	}
 	switch {
 	case err != nil:
@@ -283,7 +303,7 @@ func (s *Server) SnapshotNow() error {
 		return nil
 	}
 	start := time.Now()
-	data, err := json.Marshal(s.col)
+	data, err := s.col.MarshalJSON()
 	if err == nil {
 		err = writeDurably(s.cfg.SnapshotPath, data)
 	}
@@ -544,10 +564,10 @@ func (s *Server) handleHeavyHitters(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleScheme serves the deployed disguise scheme so clients can sample
-// locally and never upload a true value. The scheme version is the ETag:
-// clients polling for redeployment send If-None-Match and get a bodyless
-// 304 until the scheme actually changes. Dense deployments also fill the
-// legacy Matrix field for old clients.
+// locally and never upload a true value: the body New encoded once, which
+// for dense deployments also fills the legacy Matrix field for old clients.
+// The scheme version is the ETag: clients polling for redeployment send
+// If-None-Match and get a bodyless 304 until the scheme actually changes.
 func (s *Server) handleScheme(w http.ResponseWriter, r *http.Request) {
 	etag := `"` + s.version + `"`
 	w.Header().Set("ETag", etag)
@@ -555,14 +575,9 @@ func (s *Server) handleScheme(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	dense, _ := s.cfg.Scheme.(*rr.Matrix)
-	s.writeJSON(w, http.StatusOK, rrapi.SchemeResponse{
-		Kind:    s.cfg.Scheme.Kind(),
-		Scheme:  s.schemeEnv,
-		Version: s.version,
-		Matrix:  dense,
-		Z:       s.cfg.Z,
-	})
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	w.Write(s.schemeBody) //nolint:errcheck // client gone; nothing to do
 }
 
 // statusFor maps collector errors onto HTTP statuses: client mistakes are

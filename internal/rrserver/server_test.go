@@ -515,7 +515,8 @@ func TestServerBatchBodyGrammar(t *testing.T) {
 }
 
 // TestServerKeepsRejectedSnapshot: a boot that rejects its snapshot —
-// corrupt, or collected under another scheme — moves the file aside to
+// corrupt, collected under another scheme, or carrying the deployed
+// envelope with a total its counts do not sum to — moves the file aside to
 // <path>.rejected before starting fresh, so the next persist cannot
 // overwrite the only copy of that campaign.
 func TestServerKeepsRejectedSnapshot(t *testing.T) {
@@ -531,9 +532,21 @@ func TestServerKeepsRejectedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	own, err := New(Config{Scheme: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := own.Collector().IngestBatch([]int{0, 1, 2, 3, 3}); err != nil {
+		t.Fatal(err)
+	}
+	ownSnap, err := own.Collector().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, data := range map[string][]byte{
 		"corrupt":          []byte(`{"scheme": {"kind": "dense"`),
 		"different scheme": mismatched,
+		"corrupt total":    []byte(strings.Replace(string(ownSnap), `"total":5`, `"total":6`, 1)),
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "state.json")

@@ -1,15 +1,20 @@
 package rrserver
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"optrr/internal/randx"
+	"optrr/internal/rr"
 	"optrr/internal/rrclient"
 	"optrr/internal/sketch"
 )
@@ -262,8 +267,12 @@ func TestServerSchemeETag(t *testing.T) {
 }
 
 // TestServerSketchSnapshotRestore: a sketch deployment persists its k×m grid
-// with the scheme envelope and restores it on reboot; a snapshot from a
-// different hash family is refused and collection starts fresh.
+// with the scheme envelope and restores it on reboot. Its own snapshot
+// carries the deployed envelope byte for byte and restores onto the
+// deployed scheme itself; the same snapshot re-indented restores through
+// the decode-and-compare path to the same counts and estimates. A snapshot
+// from a different hash family is refused, moved aside, and collection
+// starts fresh.
 func TestServerSketchSnapshotRestore(t *testing.T) {
 	scheme := mustCMS(t, 20000, 8, 64, 4, 5)
 	path := filepath.Join(t.TempDir(), "sketch.json")
@@ -278,13 +287,53 @@ func TestServerSketchSnapshotRestore(t *testing.T) {
 	if err := srv.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-
-	reborn, err := New(Config{Scheme: scheme, SnapshotPath: path, Logf: t.Logf})
+	own, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reborn.Restored() || reborn.Count() != 5000 {
-		t.Fatalf("restored=%v count=%d, want true/5000", reborn.Restored(), reborn.Count())
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, own, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	cats := []int{0, 1, 2, 17, 19999}
+	wantEst, err := srv.Collector().Estimate(cats...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+		onto bool // restored onto the deployed scheme, not a decoded copy
+	}{
+		{"own snapshot", own, true},
+		{"re-indented envelope", indented.Bytes(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reborn, err := New(Config{Scheme: scheme, SnapshotPath: path, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reborn.Restored() || reborn.Count() != 5000 {
+				t.Fatalf("restored=%v count=%d, want true/5000", reborn.Restored(), reborn.Count())
+			}
+			if onto := reborn.Collector().Scheme() == rr.Scheme(scheme); onto != tc.onto {
+				t.Fatalf("restored onto the deployed scheme: %v, want %v", onto, tc.onto)
+			}
+			if !slices.Equal(reborn.Collector().Counts(), srv.Collector().Counts()) {
+				t.Fatal("restored counts differ from the persisted ones")
+			}
+			est, err := reborn.Collector().Estimate(cats...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(est, wantEst) {
+				t.Fatalf("restored estimates %v, want %v", est, wantEst)
+			}
+		})
 	}
 
 	// A server deployed with a different hash seed must reject the snapshot:
@@ -305,5 +354,8 @@ func TestServerSketchSnapshotRestore(t *testing.T) {
 	}
 	if !warned {
 		t.Fatal("scheme mismatch was not logged")
+	}
+	if _, err := os.Stat(path + ".rejected"); err != nil {
+		t.Fatalf("mismatched snapshot not moved aside: %v", err)
 	}
 }

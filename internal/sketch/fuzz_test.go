@@ -168,7 +168,8 @@ func fullMatchesPoint(t *testing.T, s *CMSScheme, counts []int, ests, bounds []f
 // FuzzUnmarshalScheme drives the kind-tagged envelope decoder with both
 // kinds registered: every input either fails with an error wrapping
 // rr.ErrBadScheme, or decodes to a scheme whose envelope decodes again to
-// the same version.
+// the same version and is, like its MarshalJSON payload, byte for byte the
+// nested json.Marshal composition (nestedEnvelope).
 func FuzzUnmarshalScheme(f *testing.F) {
 	dense, err := rr.Warner(4, 0.7)
 	if err != nil {
@@ -200,6 +201,7 @@ func FuzzUnmarshalScheme(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded %s scheme does not marshal: %v", s.Kind(), err)
 		}
+		checkEncoding(t, s)
 		back, err := rr.UnmarshalScheme(env)
 		if err != nil {
 			t.Fatalf("re-marshalled %s envelope rejected: %v", s.Kind(), err)

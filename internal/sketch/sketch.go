@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 
 	"optrr/internal/matrix"
 	"optrr/internal/metrics"
@@ -438,7 +439,8 @@ func (s *CMSScheme) scanDomain(counts, rowTotals []int, weights []float64, withB
 
 // cmsJSON is the wire form of the scheme: the hash family travels as its
 // seed, the inner matrix in the rr matrix format. Decoding reconstructs
-// through New, so invariants are revalidated.
+// through New, so invariants are revalidated. MarshalJSON writes the same
+// members, in this order.
 type cmsJSON struct {
 	Domain    int        `json:"domain"`
 	Hashes    int        `json:"hashes"`
@@ -447,15 +449,30 @@ type cmsJSON struct {
 	Inner     *rr.Matrix `json:"inner"`
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. It writes what json.Marshal writes
+// for the cmsJSON form, but appends the inner matrix's encoding as it is
+// instead of letting encoding/json re-scan and compact it: the inner matrix
+// is nearly all of the payload (1.4 MB at m = 256).
 func (s *CMSScheme) MarshalJSON() ([]byte, error) {
-	return json.Marshal(cmsJSON{
-		Domain:    s.domain,
-		Hashes:    s.hashes,
-		HashRange: s.rangeM,
-		HashSeed:  s.hashSeed,
-		Inner:     s.inner,
-	})
+	inner := []byte("null")
+	if s.inner != nil {
+		var err error
+		if inner, err = s.inner.MarshalJSON(); err != nil {
+			return nil, err
+		}
+	}
+	b := make([]byte, 0, len(inner)+128)
+	b = append(b, `{"domain":`...)
+	b = strconv.AppendInt(b, int64(s.domain), 10)
+	b = append(b, `,"hashes":`...)
+	b = strconv.AppendInt(b, int64(s.hashes), 10)
+	b = append(b, `,"hash_range":`...)
+	b = strconv.AppendInt(b, int64(s.rangeM), 10)
+	b = append(b, `,"hash_seed":`...)
+	b = strconv.AppendUint(b, s.hashSeed, 10)
+	b = append(b, `,"inner":`...)
+	b = append(b, inner...)
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler, revalidating through New.
