@@ -29,13 +29,18 @@
 #                  arbitrary parameters, the full-domain scan equals
 #                  one-category point queries bit for bit, and Hash equals
 #                  a Div64 reference), on the scheme-envelope decoder
-#                  (every input is rejected as rr.ErrBadScheme or
+#                  (every input is rejected as rr.ErrBadScheme, or
+#                  encoding/json reads it as the same scheme and it
 #                  round-trips to the same scheme version), on the collector
 #                  snapshot decoder (every input is rejected as
-#                  ErrBadSnapshot or round-trips to the same counts and
-#                  scheme version) and on the rrapi batch-body codec (every
-#                  body it accepts, encoding/json reads as the same reports;
-#                  its encoding equals json.Marshal and round-trips)
+#                  ErrBadSnapshot, or encoding/json reads it as the same
+#                  scheme, counts and total and it round-trips to the same
+#                  counts and scheme version), on the GET /v1/scheme body
+#                  decoder (every body it accepts, the SDK's encoding/json
+#                  path reads as the same scheme, version and z) and on the
+#                  rrapi batch-body codec (every body it accepts,
+#                  encoding/json reads as the same reports; its encoding
+#                  equals json.Marshal and round-trips)
 #   results        the whole paper reproduction: cmd/experiments at its
 #                  default budget (about 40 s) regenerates every CSV into a
 #                  temporary directory, every shape check must pass, and the
@@ -111,10 +116,11 @@ echo "== go test -race (parallel paths) =="
 go test -race -run 'Parallel|Grid|Batch|Stream|Tuple' \
     ./internal/experiments ./internal/rr ./internal/dataset ./internal/mining
 
-echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, batch codec) =="
+echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, scheme body, batch codec) =="
 go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 5s ./internal/sketch
 go test -run '^$' -fuzz '^FuzzUnmarshalScheme$' -fuzztime 5s ./internal/sketch
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 5s ./internal/collector
+go test -run '^$' -fuzz '^FuzzDecodeSchemeResponse$' -fuzztime 5s ./internal/rrapi
 go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 5s ./internal/rrapi
 
 echo "== results (paper reproduction, byte for byte) =="

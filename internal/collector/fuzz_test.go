@@ -12,11 +12,12 @@ import (
 
 // FuzzRestore drives the one snapshot decoder with arbitrary bytes: every
 // input either fails with an error wrapping ErrBadSnapshot, or restores a
-// collector whose re-marshalled snapshot is byte for byte the nested
-// json.Marshal composition (nestedSnapshot) and restores again to the same
-// counts and the same scheme version. RestoreOnto, with either seed scheme
-// running, accepts exactly the same inputs and restores the same counts
-// and version, whichever path it takes.
+// collector that encoding/json reads the same from (oracleSnapshot: the
+// same scheme, counts and total), whose re-marshalled snapshot is byte for
+// byte the nested json.Marshal composition (nestedSnapshot) and restores
+// again to the same counts and the same scheme version. RestoreOnto, with
+// either seed scheme running, accepts exactly the same inputs and restores
+// the same counts and version, whichever path it takes.
 func FuzzRestore(f *testing.F) {
 	dense := New(mustWarner(f, 3, 0.8), 2)
 	sketched := New(testCMS(f, 50, 2, 4), 2)
@@ -49,6 +50,10 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte(`{"matrix":{"categories":2,"columns":[[0.8,0.2],[0.2,0.8]]},"counts":[4,6]}`))
 	f.Add(sketchSnap[:len(sketchSnap)/2])
 	f.Add(indented.Bytes())
+	_, shapes := snapshotShapes(f)
+	for _, s := range shapes {
+		f.Add(s.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Restore(data, 2)
@@ -76,6 +81,7 @@ func FuzzRestore(f *testing.F) {
 			}
 			return
 		}
+		checkOracle(t, data, c)
 		again := checkSnapshotEncoding(t, c)
 		back, err := Restore(again, 1)
 		if err != nil {

@@ -3,6 +3,8 @@ package rr
 import (
 	"encoding/json"
 	"fmt"
+
+	"optrr/internal/strictjson"
 )
 
 // JSON serialization for RR matrices, so optimized matrices can be persisted
@@ -31,19 +33,53 @@ func (m *Matrix) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler, validating the RR invariants.
+// data must hold the one matrix (see DecodeMatrix).
 func (m *Matrix) UnmarshalJSON(data []byte) error {
-	var raw matrixJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("rr: decoding matrix: %w", err)
-	}
-	if raw.Categories != len(raw.Columns) {
-		return fmt.Errorf("%w: %d categories but %d columns", ErrShape, raw.Categories, len(raw.Columns))
-	}
-	decoded, err := FromColumns(raw.Columns)
+	c := strictjson.New(data)
+	decoded, err := DecodeMatrix(c)
 	if err != nil {
 		return err
+	}
+	if err := c.End(); err != nil {
+		return fmt.Errorf("rr: decoding matrix: %w", err)
 	}
 	m.m = decoded.m
 	m.samplers.Store(nil)
 	return nil
+}
+
+// DecodeMatrix reads a matrix in its JSON form at c, under strictjson's
+// grammar, and validates it as FromColumns does. The entries are parsed in
+// one pass into one buffer.
+func DecodeMatrix(c *strictjson.Cursor) (*Matrix, error) {
+	var (
+		categories int
+		entries    []float64 // every column's entries, one column after another
+		lengths    []int     // each column's entry count
+	)
+	err := c.Object(
+		strictjson.Member{Name: "categories", Read: func(c *strictjson.Cursor) (err error) {
+			categories, err = c.Int()
+			return err
+		}},
+		strictjson.Member{Name: "columns", Read: func(c *strictjson.Cursor) error {
+			return c.Array(func(c *strictjson.Cursor) (err error) {
+				n := len(entries)
+				entries, err = c.AppendFloats(entries)
+				lengths = append(lengths, len(entries)-n)
+				return err
+			})
+		}},
+	)
+	if err != nil {
+		return nil, fmt.Errorf("rr: decoding matrix: %w", err)
+	}
+	if categories != len(lengths) {
+		return nil, fmt.Errorf("%w: %d categories but %d columns", ErrShape, categories, len(lengths))
+	}
+	cols := make([][]float64, len(lengths))
+	for i, n := range lengths {
+		cols[i], entries = entries[:n:n], entries[n:]
+	}
+	return FromColumns(cols)
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"optrr/internal/randx"
+	"optrr/internal/strictjson"
 )
 
 // Scheme abstracts a randomized-response disguise mechanism so the layers
@@ -50,24 +51,18 @@ type Scheme interface {
 // DenseKind is the Kind of the dense matrix scheme.
 const DenseKind = "dense"
 
-// schemeEnvelope is the kind-tagged wire form of a Scheme, so a decoder can
-// dispatch to the right codec without guessing from the payload shape.
-// MarshalScheme writes the same two members, in this order.
-type schemeEnvelope struct {
-	Kind   string          `json:"kind"`
-	Scheme json.RawMessage `json:"scheme"`
-}
-
 var (
 	schemeCodecsMu sync.RWMutex
-	schemeCodecs   = map[string]func(data []byte) (Scheme, error){}
+	schemeCodecs   = map[string]func(c *strictjson.Cursor) (Scheme, error){}
 )
 
 // RegisterScheme registers the decoder for a scheme kind, used by
-// UnmarshalScheme to revive kind-tagged envelopes. Packages implementing a
-// Scheme register themselves in an init function; registering the same kind
-// twice panics (it is a wiring bug, not a runtime condition).
-func RegisterScheme(kind string, decode func(data []byte) (Scheme, error)) {
+// UnmarshalScheme and DecodeScheme to revive kind-tagged envelopes. The
+// decoder reads the envelope's scheme payload where it lies, consuming that
+// one value from the cursor. Packages implementing a Scheme register
+// themselves in an init function; registering the same kind twice panics
+// (it is a wiring bug, not a runtime condition).
+func RegisterScheme(kind string, decode func(c *strictjson.Cursor) (Scheme, error)) {
 	if kind == "" || decode == nil {
 		panic("rr: RegisterScheme needs a kind and a decoder")
 	}
@@ -98,10 +93,10 @@ func SchemeKinds() []string {
 // The payload is the scheme's own json.Marshaler form, appended as it is:
 // a Scheme's MarshalJSON must return compact JSON, as json.Marshal writes
 // it (both in-module schemes do). The envelope is then byte for byte what
-// json.Marshal(schemeEnvelope{…}) writes, without encoding/json re-scanning
-// and compacting the payload once per layer — for a sketch with a 256×256
-// inner matrix that is 1.4 MB per pass. A scheme without a MarshalJSON goes
-// through json.Marshal.
+// json.Marshal writes for a struct of the two members, the payload a
+// json.RawMessage, without encoding/json re-scanning and compacting the
+// payload once per layer — for a sketch with a 256×256 inner matrix that is
+// 1.4 MB per pass. A scheme without a MarshalJSON goes through json.Marshal.
 func MarshalScheme(s Scheme) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("rr: cannot marshal a nil scheme")
@@ -130,26 +125,77 @@ func MarshalScheme(s Scheme) ([]byte, error) {
 // rejects. The codec's own error stays wrapped beside it.
 var ErrBadScheme = errors.New("rr: invalid scheme envelope")
 
-// UnmarshalScheme revives a Scheme from its kind-tagged envelope, validating
-// through the registered codec for its kind. Every failure wraps
+// UnmarshalScheme revives a Scheme from its kind-tagged envelope, which
+// must be the whole of data (see DecodeScheme). Every failure wraps
 // ErrBadScheme.
 func UnmarshalScheme(data []byte) (Scheme, error) {
-	var env schemeEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
+	c := strictjson.New(data)
+	s, err := DecodeScheme(c)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.End(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadScheme, err)
 	}
-	if env.Kind == "" {
-		return nil, fmt.Errorf("%w: no kind", ErrBadScheme)
+	return s, nil
+}
+
+// DecodeScheme reads a kind-tagged envelope at c, validating its payload
+// through the registered decoder for its kind, under strictjson's grammar.
+// When the kind precedes the payload, as MarshalScheme writes them, the
+// decoder parses the payload where it lies, so the envelope is read in one
+// pass; a payload that comes first is validated and set aside, then decoded
+// once the kind is known. Every failure wraps ErrBadScheme.
+func DecodeScheme(c *strictjson.Cursor) (Scheme, error) {
+	var (
+		kind    string
+		scheme  Scheme
+		payload []byte // a payload met before its kind
+	)
+	err := c.Object(
+		strictjson.Member{Name: "kind", Read: func(c *strictjson.Cursor) (err error) {
+			kind, err = c.Text()
+			return err
+		}},
+		strictjson.Member{Name: "scheme", Read: func(c *strictjson.Cursor) (err error) {
+			if kind == "" {
+				payload, err = c.Skip()
+				return err
+			}
+			scheme, err = decodePayload(kind, c)
+			return err
+		}},
+	)
+	if err == nil && kind == "" {
+		err = errors.New("no kind")
 	}
+	if err == nil && scheme == nil {
+		if payload == nil {
+			err = errors.New("no scheme payload")
+		} else {
+			c := strictjson.New(payload)
+			if scheme, err = decodePayload(kind, c); err == nil {
+				err = c.End()
+			}
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadScheme, err)
+	}
+	return scheme, nil
+}
+
+// decodePayload decodes one kind's payload at c.
+func decodePayload(kind string, c *strictjson.Cursor) (Scheme, error) {
 	schemeCodecsMu.RLock()
-	decode := schemeCodecs[env.Kind]
+	decode := schemeCodecs[kind]
 	schemeCodecsMu.RUnlock()
 	if decode == nil {
-		return nil, fmt.Errorf("%w: unknown kind %q (registered: %v)", ErrBadScheme, env.Kind, SchemeKinds())
+		return nil, fmt.Errorf("unknown kind %q (registered: %v)", kind, SchemeKinds())
 	}
-	s, err := decode(env.Scheme)
+	s, err := decode(c)
 	if err != nil {
-		return nil, fmt.Errorf("%w: decoding %s scheme: %w", ErrBadScheme, env.Kind, err)
+		return nil, fmt.Errorf("decoding %s scheme: %w", kind, err)
 	}
 	return s, nil
 }
@@ -175,9 +221,9 @@ func EnvelopeVersion(env []byte) string {
 }
 
 func init() {
-	RegisterScheme(DenseKind, func(data []byte) (Scheme, error) {
-		m := new(Matrix)
-		if err := m.UnmarshalJSON(data); err != nil {
+	RegisterScheme(DenseKind, func(c *strictjson.Cursor) (Scheme, error) {
+		m, err := DecodeMatrix(c)
+		if err != nil {
 			return nil, err
 		}
 		return m, nil

@@ -2,14 +2,17 @@
 // (cmd/rrserver): what a disguising client POSTs and what the collector-side
 // estimate queries return. It is shared by internal/rrserver (the service)
 // and internal/rrclient (the disguise SDK) and deliberately depends on
-// nothing but the rr matrix type, so the client pulls in no server code.
+// nothing but package rr and the strictjson reader, so the client pulls in
+// no server code.
 //
 // It also owns the codec for the one body on the ingest hot path, the
 // POST /v1/reports batch: AppendBatch writes exactly what json.Marshal
 // writes for a BatchRequest, and DecodeBatch reads it back in one pass
 // without reflection, under a strict grammar documented on DecodeBatch.
-// EncodeSchemeResponse writes the GET /v1/scheme body a server builds once.
-// Every other body goes through encoding/json with the types below.
+// EncodeSchemeResponse writes the GET /v1/scheme body a server builds once,
+// and DecodeSchemeResponse reads it back in one pass, the scheme envelope
+// where it lies (1.4 MB for a sketch at hash range 256). Every other body
+// goes through encoding/json with the types below.
 //
 // The protocol is the paper's Section I split made literal: the private
 // value is sampled through the disguise matrix on the respondent's machine,
@@ -18,8 +21,11 @@ package rrapi
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 
 	"optrr/internal/rr"
+	"optrr/internal/strictjson"
 )
 
 // ReportRequest is the body of POST /v1/report: one disguised category.
@@ -104,6 +110,86 @@ func EncodeSchemeResponse(resp SchemeResponse) ([]byte, error) {
 	}
 	member(`"z":`, z)
 	return append(b, "}\n"...), nil
+}
+
+// ErrBadSchemeResponse reports a GET /v1/scheme body DecodeSchemeResponse
+// cannot read.
+var ErrBadSchemeResponse = errors.New("rrapi: malformed scheme body")
+
+// Deployment is what a GET /v1/scheme body tells a client: the deployed
+// scheme, its version and the collection's z quantile.
+type Deployment struct {
+	// Scheme is the envelope's scheme, or the legacy matrix when the body
+	// carries no envelope.
+	Scheme rr.Scheme
+	// Version is the served version, or rr.SchemeVersion of Scheme when the
+	// body carries none.
+	Version string
+	Z       float64
+}
+
+// DecodeSchemeResponse decodes a GET /v1/scheme body in one pass under
+// package strictjson's grammar. The envelope is parsed where it lies, by
+// rr.DecodeScheme; a legacy matrix member is read and validated too,
+// whether or not an envelope is there. Kind is read but not used: the
+// envelope carries its own. Every body a server wrote is accepted — the
+// dense one carrying both forms, the sketch one, the matrix-only body of
+// servers that predate the envelope — re-indented or with its members in
+// any order. Unknown members are validated and skipped, so a newer server
+// may add some. Every body it accepts decodes to the same scheme, version
+// and z under encoding/json. It refuses what strictjson refuses — among
+// them duplicate members, nulls and trailing data, all of which a
+// json.Decoder reads — with an error wrapping ErrBadSchemeResponse (and
+// rr.ErrBadScheme when the envelope is at fault).
+func DecodeSchemeResponse(body []byte) (Deployment, error) {
+	var (
+		dep    Deployment
+		scheme rr.Scheme
+		matrix *rr.Matrix
+	)
+	doc := strictjson.New(body)
+	err := doc.Object(
+		strictjson.Member{Name: "kind", Read: func(c *strictjson.Cursor) (err error) {
+			_, err = c.Text()
+			return err
+		}},
+		strictjson.Member{Name: "scheme", Read: func(c *strictjson.Cursor) (err error) {
+			scheme, err = rr.DecodeScheme(c)
+			return err
+		}},
+		strictjson.Member{Name: "version", Read: func(c *strictjson.Cursor) (err error) {
+			dep.Version, err = c.Text()
+			return err
+		}},
+		strictjson.Member{Name: "matrix", Read: func(c *strictjson.Cursor) (err error) {
+			matrix, err = rr.DecodeMatrix(c)
+			return err
+		}},
+		strictjson.Member{Name: "z", Read: func(c *strictjson.Cursor) (err error) {
+			dep.Z, err = c.Float64()
+			return err
+		}},
+	)
+	if err == nil {
+		err = doc.End()
+	}
+	if err != nil {
+		return Deployment{}, fmt.Errorf("%w: %w", ErrBadSchemeResponse, err)
+	}
+	switch {
+	case scheme != nil:
+		dep.Scheme = scheme
+	case matrix != nil:
+		dep.Scheme = matrix
+	default:
+		return Deployment{}, fmt.Errorf("%w: no scheme", ErrBadSchemeResponse)
+	}
+	if dep.Version == "" {
+		if dep.Version, err = rr.SchemeVersion(dep.Scheme); err != nil {
+			return Deployment{}, fmt.Errorf("rrapi: fingerprinting the scheme: %w", err)
+		}
+	}
+	return dep, nil
 }
 
 // EstimateResponse is the body of GET /v1/estimate: the debiased frequency

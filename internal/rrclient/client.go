@@ -138,81 +138,46 @@ func (c *Client) ensureSchemeLocked(ctx context.Context) error {
 	if c.scheme != nil {
 		return nil
 	}
-	resp, _, err := c.fetchScheme(ctx, "")
-	if err != nil || resp == nil {
+	dep, err := c.fetchScheme(ctx, "")
+	if err != nil || dep == nil {
 		return err
 	}
-	return c.adoptSchemeLocked(resp)
+	c.scheme, c.version, c.z = dep.Scheme, dep.Version, dep.Z
+	return nil
 }
 
-// fetchScheme runs GET /v1/scheme. A non-empty ifNoneMatch is sent as
-// If-None-Match; a 304 answer returns (nil, etag, nil).
-func (c *Client) fetchScheme(ctx context.Context, ifNoneMatch string) (*rrapi.SchemeResponse, string, error) {
+// fetchScheme runs GET /v1/scheme and decodes the body with
+// rrapi.DecodeSchemeResponse. A non-empty ifNoneMatch is sent as
+// If-None-Match; a 304 answer returns (nil, nil). The body is read to its
+// end, so the connection goes back to the pool.
+func (c *Client) fetchScheme(ctx context.Context, ifNoneMatch string) (*rrapi.Deployment, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/scheme", nil)
 	if err != nil {
-		return nil, "", fmt.Errorf("rrclient: %w", err)
+		return nil, fmt.Errorf("rrclient: %w", err)
 	}
 	if ifNoneMatch != "" {
 		req.Header.Set("If-None-Match", ifNoneMatch)
 	}
 	hr, err := c.hc.Do(req)
 	if err != nil {
-		return nil, "", fmt.Errorf("rrclient: GET /v1/scheme: %w", err)
+		return nil, fmt.Errorf("rrclient: GET /v1/scheme: %w", err)
 	}
-	defer hr.Body.Close()
-	etag := hr.Header.Get("ETag")
+	defer closeBody(hr.Body)
 	if hr.StatusCode == http.StatusNotModified {
-		return nil, etag, nil
+		return nil, nil
 	}
 	if hr.StatusCode/100 != 2 {
-		var apiErr rrapi.ErrorResponse
-		if err := json.NewDecoder(io.LimitReader(hr.Body, 1<<16)).Decode(&apiErr); err == nil && apiErr.Error != "" {
-			return nil, etag, fmt.Errorf("rrclient: GET /v1/scheme: %s (HTTP %d)", apiErr.Error, hr.StatusCode)
-		}
-		return nil, etag, fmt.Errorf("rrclient: GET /v1/scheme: HTTP %d", hr.StatusCode)
+		return nil, statusError("GET /v1/scheme", hr)
 	}
-	var resp rrapi.SchemeResponse
-	if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
-		return nil, etag, fmt.Errorf("rrclient: decoding /v1/scheme response: %w", err)
-	}
-	return &resp, etag, nil
-}
-
-// adoptSchemeLocked decodes a scheme response into the cache.
-func (c *Client) adoptSchemeLocked(resp *rrapi.SchemeResponse) error {
-	scheme, version, err := decodeScheme(resp)
+	body, err := io.ReadAll(hr.Body)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("rrclient: reading /v1/scheme response: %w", err)
 	}
-	c.scheme, c.version, c.z = scheme, version, resp.Z
-	return nil
-}
-
-// decodeScheme turns a /v1/scheme body into a scheme and its fingerprint,
-// preferring the envelope and falling back to the legacy matrix field.
-func decodeScheme(resp *rrapi.SchemeResponse) (rr.Scheme, string, error) {
-	var scheme rr.Scheme
-	switch {
-	case len(resp.Scheme) > 0:
-		s, err := rr.UnmarshalScheme(resp.Scheme)
-		if err != nil {
-			return nil, "", fmt.Errorf("rrclient: decoding scheme envelope: %w", err)
-		}
-		scheme = s
-	case resp.Matrix != nil:
-		scheme = resp.Matrix
-	default:
-		return nil, "", fmt.Errorf("rrclient: scheme response has no scheme")
+	dep, err := rrapi.DecodeSchemeResponse(body)
+	if err != nil {
+		return nil, fmt.Errorf("rrclient: decoding /v1/scheme response: %w", err)
 	}
-	version := resp.Version
-	if version == "" {
-		v, err := rr.SchemeVersion(scheme)
-		if err != nil {
-			return nil, "", fmt.Errorf("rrclient: fingerprinting scheme: %w", err)
-		}
-		version = v
-	}
-	return scheme, version, nil
+	return &dep, nil
 }
 
 // SchemeChanged asks the server whether the deployed scheme differs from the
@@ -226,18 +191,14 @@ func (c *Client) SchemeChanged(ctx context.Context) (bool, error) {
 	if c.scheme == nil {
 		return false, c.ensureSchemeLocked(ctx)
 	}
-	resp, _, err := c.fetchScheme(ctx, `"`+c.version+`"`)
+	dep, err := c.fetchScheme(ctx, `"`+c.version+`"`)
 	if err != nil {
 		return false, err
 	}
-	if resp == nil { // 304: deployment unchanged
+	if dep == nil { // 304: deployment unchanged
 		return false, nil
 	}
-	_, version, err := decodeScheme(resp)
-	if err != nil {
-		return false, err
-	}
-	return version != c.version, nil
+	return dep.Version != c.version, nil
 }
 
 // RefreshScheme drops the cached scheme and fetches the currently deployed
@@ -389,13 +350,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	if err != nil {
 		return fmt.Errorf("rrclient: %s %s: %w", method, path, err)
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if resp.StatusCode/100 != 2 {
-		var apiErr rrapi.ErrorResponse
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&apiErr); err == nil && apiErr.Error != "" {
-			return fmt.Errorf("rrclient: %s %s: %s (HTTP %d)", method, path, apiErr.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("rrclient: %s %s: HTTP %d", method, path, resp.StatusCode)
+		return statusError(method+" "+path, resp)
 	}
 	if out == nil {
 		return nil
@@ -404,4 +361,29 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		return fmt.Errorf("rrclient: decoding %s response: %w", path, err)
 	}
 	return nil
+}
+
+// drainLimit bounds how much of a response body the SDK reads beyond the
+// value it decodes: an error message, or the rest of a body before closing
+// it.
+const drainLimit = 1 << 16
+
+// statusError describes a non-2xx answer, with the server's ErrorResponse
+// message when the body carries one.
+func statusError(request string, resp *http.Response) error {
+	var apiErr rrapi.ErrorResponse
+	if err := json.NewDecoder(io.LimitReader(resp.Body, drainLimit)).Decode(&apiErr); err == nil && apiErr.Error != "" {
+		return fmt.Errorf("rrclient: %s: %s (HTTP %d)", request, apiErr.Error, resp.StatusCode)
+	}
+	return fmt.Errorf("rrclient: %s: HTTP %d", request, resp.StatusCode)
+}
+
+// closeBody reads what is left of a response body, up to drainLimit
+// bytes, and closes it. A json.Decoder stops at the end of its value, and a
+// body closed before its end costs the connection: net/http closes it
+// instead of pooling it.
+func closeBody(body io.ReadCloser) {
+	// A failed drain costs only the connection, which Close then drops.
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, drainLimit))
+	body.Close()
 }

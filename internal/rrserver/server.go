@@ -120,6 +120,13 @@ type Server struct {
 	batches sync.Pool // *batchScratch for handleBatch
 }
 
+// warmer is a scheme that can build ahead of the first query what its
+// estimator otherwise builds on first use, as sketch.CMSScheme builds the
+// inverse of its inner matrix.
+type warmer interface {
+	Warm() error
+}
+
 // New builds the service and, when cfg.SnapshotPath names an existing file,
 // attempts crash recovery (see recover).
 func New(cfg Config) (*Server, error) {
@@ -140,6 +147,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
+	}
+	// A scheme that builds its estimator on first use (the sketch's inner
+	// inverse) builds it now, so the first query pays nothing for it.
+	if w, ok := cfg.Scheme.(warmer); ok {
+		if err := w.Warm(); err != nil {
+			return nil, fmt.Errorf("rrserver: preparing the deployed scheme's estimator: %w", err)
+		}
 	}
 	// The deployed scheme is encoded once: the envelope is the /v1/scheme
 	// body's payload, the fingerprint the ETag, and the collector keeps it
@@ -192,11 +206,12 @@ func New(cfg Config) (*Server, error) {
 // Only a clean "file does not exist" is silent. A snapshot that the server
 // itself wrote under the deployed scheme carries env byte for byte, and
 // collector.RestoreOnto lands its counts on cfg.Scheme without decoding the
-// scheme again. Any other snapshot is decoded and its scheme's version
-// compared with the deployed one. A snapshot that fails to restore, or
-// whose version differs, is moved aside to <path>.rejected — the next
-// persist would otherwise overwrite the only copy of that campaign — with
-// one logged warning.
+// scheme again; its version is then the deployed one, not hashed again.
+// Any other snapshot is decoded and its scheme's version compared with the
+// deployed one. A snapshot that fails to restore, or whose version
+// differs, is moved aside to <path>.rejected — the next persist would
+// otherwise overwrite the only copy of that campaign — with one logged
+// warning.
 func (s *Server) recover(path string, env []byte) *collector.Collector {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -205,9 +220,9 @@ func (s *Server) recover(path string, env []byte) *collector.Collector {
 		}
 		return nil
 	}
-	var version string
+	version := s.version
 	col, err := collector.RestoreOnto(data, s.cfg.Shards, s.cfg.Scheme, env)
-	if err == nil {
+	if err == nil && col.Scheme() != s.cfg.Scheme {
 		version, err = col.SchemeVersion()
 	}
 	switch {
@@ -575,7 +590,11 @@ func (s *Server) handleScheme(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	// A declared length, where a body this large (1.4 MB for a sketch) would
+	// otherwise be chunked, lets a client that reads the body's last byte
+	// also see its end, so its connection is pooled, not dropped.
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(s.schemeBody)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(s.schemeBody) //nolint:errcheck // client gone; nothing to do
 }

@@ -21,9 +21,13 @@ func refHash(a, b uint64, m int, x uint64) int {
 
 // refEstimate is the whole-grid estimator the per-cell one replaced, kept
 // as a test oracle: every row's cells debiased up front through
-// inv.MulVecInto (and every cell's CMSRowVariance when bounds are asked
+// inner.Inverse().MulVecInto (and every cell's CMSRowVariance when bounds are asked
 // for), then O(k) Hash calls per category over a domain-sized index vector.
 func refEstimate(s *CMSScheme, counts []int, categories []int, z, ell2 float64) (ests, bounds []float64, err error) {
+	inv, err := s.inner.Inverse()
+	if err != nil {
+		return nil, nil, err
+	}
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -46,7 +50,7 @@ func refEstimate(s *CMSScheme, counts []int, categories []int, z, ell2 float64) 
 			pStar[v] = float64(c) * invTotal
 		}
 		t := make([]float64, s.rangeM)
-		if err := s.inv.MulVecInto(t, pStar); err != nil {
+		if err := inv.MulVecInto(t, pStar); err != nil {
 			return nil, nil, err
 		}
 		cells[j] = t
@@ -79,7 +83,7 @@ func refEstimate(s *CMSScheme, counts []int, categories []int, z, ell2 float64) 
 		}
 		vr := make([]float64, s.rangeM)
 		for u := range vr {
-			if vr[u], err = metrics.CMSRowVariance(s.inv.RowView(u), pStar, rowTotal, s.rangeM); err != nil {
+			if vr[u], err = metrics.CMSRowVariance(inv.RowView(u), pStar, rowTotal, s.rangeM); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -167,9 +167,11 @@ func fullMatchesPoint(t *testing.T, s *CMSScheme, counts []int, ests, bounds []f
 
 // FuzzUnmarshalScheme drives the kind-tagged envelope decoder with both
 // kinds registered: every input either fails with an error wrapping
-// rr.ErrBadScheme, or decodes to a scheme whose envelope decodes again to
-// the same version and is, like its MarshalJSON payload, byte for byte the
-// nested json.Marshal composition (nestedEnvelope).
+// rr.ErrBadScheme, or decodes to the scheme encoding/json reads from it
+// (oracleScheme: the same kind, version and entries bit for bit), whose
+// envelope decodes again to the same version and is, like its MarshalJSON
+// payload, byte for byte the nested json.Marshal composition
+// (nestedEnvelope).
 func FuzzUnmarshalScheme(f *testing.F) {
 	dense, err := rr.Warner(4, 0.7)
 	if err != nil {
@@ -189,6 +191,9 @@ func FuzzUnmarshalScheme(f *testing.F) {
 	}
 	f.Add([]byte(`{"kind":"nope","scheme":{}}`))
 	f.Add([]byte(`{"kind":"","scheme":{}}`))
+	for _, data := range envelopeShapes(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := rr.UnmarshalScheme(data)
 		if err != nil {
@@ -197,6 +202,11 @@ func FuzzUnmarshalScheme(f *testing.F) {
 			}
 			return
 		}
+		want, err := oracleScheme(data)
+		if err != nil {
+			t.Fatalf("decoded an envelope encoding/json rejects (%v): %q", err, data)
+		}
+		sameScheme(t, s, want)
 		env, err := rr.MarshalScheme(s)
 		if err != nil {
 			t.Fatalf("decoded %s scheme does not marshal: %v", s.Kind(), err)

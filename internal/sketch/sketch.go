@@ -19,17 +19,18 @@
 package sketch
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"strconv"
+	"sync"
 
 	"optrr/internal/matrix"
 	"optrr/internal/metrics"
 	"optrr/internal/randx"
 	"optrr/internal/rr"
+	"optrr/internal/strictjson"
 )
 
 // Kind is the wire identifier of the Count-Mean-Sketch scheme (see
@@ -56,17 +57,22 @@ type CMSScheme struct {
 	hashes   int // k: number of hash functions / sketch rows
 	rangeM   int // m: hash range / inner matrix size
 	hashSeed uint64
-	a, b     []uint64      // per-row hash coefficients, derived from hashSeed
-	inner    *rr.Matrix    // m×m disguise matrix for hashed values
-	inv      *matrix.Dense // cached inverse of inner, for estimation
+	a, b     []uint64   // per-row hash coefficients, derived from hashSeed
+	inner    *rr.Matrix // m×m disguise matrix for hashed values
+	// inverse returns the inverse of inner that estimation runs on. New
+	// only factorizes inner, which is how it refuses a singular one; the
+	// inverse is built from that factorization on the first call, bit for
+	// bit what inner.Inverse() returns, so a scheme that never estimates (a
+	// respondent's) never pays for it. A struct copy shares it.
+	inverse func() (*matrix.Dense, error)
 }
 
 // New builds a Count-Mean-Sketch scheme over domain categories, with hashes
 // pairwise-independent hash functions into [0, hashRange) and the given
 // inner disguise matrix (hashRange×hashRange, must be invertible — the
-// inversion estimator runs per sketch row). The hash coefficients are
-// derived deterministically from hashSeed, so clients and server agree on
-// the family by exchanging only the seed.
+// inversion estimator runs per sketch row; a singular one is rr.ErrSingular).
+// The hash coefficients are derived deterministically from hashSeed, so
+// clients and server agree on the family by exchanging only the seed.
 func New(domain, hashes, hashRange int, inner *rr.Matrix, hashSeed uint64) (*CMSScheme, error) {
 	if domain < 1 || uint64(domain) >= hashPrime {
 		return nil, fmt.Errorf("%w: domain %d (want 1 ≤ domain < 2⁶¹−1)", ErrBadParams, domain)
@@ -83,8 +89,8 @@ func New(domain, hashes, hashRange int, inner *rr.Matrix, hashSeed uint64) (*CMS
 	if inner.N() != hashRange {
 		return nil, fmt.Errorf("%w: inner matrix over %d categories for hash range %d", ErrBadParams, inner.N(), hashRange)
 	}
-	inv, err := inner.Inverse()
-	if err != nil {
+	lu := matrix.NewLU()
+	if err := inner.FactorizeInto(lu); err != nil {
 		return nil, fmt.Errorf("sketch: inner matrix: %w", err)
 	}
 	s := &CMSScheme{
@@ -95,7 +101,7 @@ func New(domain, hashes, hashRange int, inner *rr.Matrix, hashSeed uint64) (*CMS
 		a:        make([]uint64, hashes),
 		b:        make([]uint64, hashes),
 		inner:    inner.Clone(),
-		inv:      inv,
+		inverse:  sync.OnceValues(lu.Inverse),
 	}
 	for j := 0; j < hashes; j++ {
 		r := randx.Stream(hashSeed, uint64(j))
@@ -147,6 +153,14 @@ func (s *CMSScheme) HashSeed() uint64 { return s.hashSeed }
 // Inner returns the inner disguise matrix. The returned value aliases the
 // scheme's immutable copy; callers must treat it as read-only.
 func (s *CMSScheme) Inner() *rr.Matrix { return s.inner }
+
+// Warm builds the inverse of the inner matrix that estimation runs on, if
+// it is not built yet. Estimation builds it on first use; a server warms
+// the scheme at boot so that its first query does not pay for it.
+func (s *CMSScheme) Warm() error {
+	_, err := s.inverse()
+	return err
+}
 
 // Hash returns h_j(value) ∈ [0, m): the pairwise-independent affine stage
 // (a_j·value + b_j) mod p over the Mersenne prime p = 2⁶¹−1, scrambled
@@ -276,11 +290,15 @@ func (s *CMSScheme) estimate(counts []int, categories []int, z, ell2 float64) (e
 			return nil, nil, fmt.Errorf("%w: category %d of %d", rr.ErrShape, x, s.domain)
 		}
 	}
+	inv, err := s.inverse()
+	if err != nil {
+		return nil, nil, err
+	}
 	withBound := z > 0
 	if categories == nil {
-		ests, bounds, err = s.scanDomain(counts, rowTotals, weights, withBound)
+		ests, bounds, err = s.scanDomain(inv, counts, rowTotals, weights, withBound)
 	} else {
-		ests, bounds, err = s.pointQuery(counts, rowTotals, weights, categories, withBound)
+		ests, bounds, err = s.pointQuery(inv, counts, rowTotals, weights, categories, withBound)
 	}
 	if err != nil || !withBound {
 		return ests, bounds, err
@@ -336,8 +354,8 @@ func (s *CMSScheme) disguisedRow(pStar []float64, counts []int, j, rowTotal int)
 // with t̂[u] = Σ_v inv[u][v]·p̂*[v] — one row of the Theorem-1 inversion —
 // and, when withBound is set, its metrics.CMSRowVariance (which already
 // carries the (m/(m−1))² debias scale).
-func (s *CMSScheme) debiasCell(pStar []float64, rowTotal, u int, withBound bool) (est, variance float64, err error) {
-	invRow := s.inv.RowView(u)
+func (s *CMSScheme) debiasCell(inv *matrix.Dense, pStar []float64, rowTotal, u int, withBound bool) (est, variance float64, err error) {
+	invRow := inv.RowView(u)
 	var t float64
 	for v, iv := range invRow {
 		t += iv * pStar[v]
@@ -353,7 +371,7 @@ func (s *CMSScheme) debiasCell(pStar []float64, rowTotal, u int, withBound bool)
 // pointQuery estimates the named categories row by row, debiasing a cell
 // the first time a category lands in it: O(k·m) to read the rows plus O(m)
 // per distinct cell touched, instead of O(k·m²) for the whole grid.
-func (s *CMSScheme) pointQuery(counts, rowTotals []int, weights []float64, categories []int, withBound bool) (ests, variances []float64, err error) {
+func (s *CMSScheme) pointQuery(inv *matrix.Dense, counts, rowTotals []int, weights []float64, categories []int, withBound bool) (ests, variances []float64, err error) {
 	ests = make([]float64, len(categories))
 	if withBound {
 		variances = make([]float64, len(categories))
@@ -373,7 +391,7 @@ func (s *CMSScheme) pointQuery(counts, rowTotals []int, weights []float64, categ
 			u := s.Hash(j, x)
 			if debiased[u] != j+1 {
 				debiased[u] = j + 1
-				if cellEst[u], cellVar[u], err = s.debiasCell(pStar, rowTotal, u, withBound); err != nil {
+				if cellEst[u], cellVar[u], err = s.debiasCell(inv, pStar, rowTotal, u, withBound); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -392,7 +410,7 @@ func (s *CMSScheme) pointQuery(counts, rowTotals []int, weights []float64, categ
 // modular add — exact, since v + a_j < 2p < 2⁶² — so a (row, category) pair
 // costs one mix64, one mod-m reduction and one gather; only each block's
 // first category pays Hash's 128-bit division.
-func (s *CMSScheme) scanDomain(counts, rowTotals []int, weights []float64, withBound bool) (ests, variances []float64, err error) {
+func (s *CMSScheme) scanDomain(inv *matrix.Dense, counts, rowTotals []int, weights []float64, withBound bool) (ests, variances []float64, err error) {
 	m := s.rangeM
 	cellEst := make([]float64, s.hashes*m)
 	cellVar := make([]float64, s.hashes*m)
@@ -404,7 +422,7 @@ func (s *CMSScheme) scanDomain(counts, rowTotals []int, weights []float64, withB
 		s.disguisedRow(pStar, counts, j, rowTotal)
 		d, rv := cellEst[j*m:(j+1)*m], cellVar[j*m:(j+1)*m]
 		for u := range d {
-			if d[u], rv[u], err = s.debiasCell(pStar, rowTotal, u, withBound); err != nil {
+			if d[u], rv[u], err = s.debiasCell(inv, pStar, rowTotal, u, withBound); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -437,22 +455,15 @@ func (s *CMSScheme) scanDomain(counts, rowTotals []int, weights []float64, withB
 	return ests, variances, nil
 }
 
-// cmsJSON is the wire form of the scheme: the hash family travels as its
-// seed, the inner matrix in the rr matrix format. Decoding reconstructs
-// through New, so invariants are revalidated. MarshalJSON writes the same
-// members, in this order.
-type cmsJSON struct {
-	Domain    int        `json:"domain"`
-	Hashes    int        `json:"hashes"`
-	HashRange int        `json:"hash_range"`
-	HashSeed  uint64     `json:"hash_seed"`
-	Inner     *rr.Matrix `json:"inner"`
-}
-
-// MarshalJSON implements json.Marshaler. It writes what json.Marshal writes
-// for the cmsJSON form, but appends the inner matrix's encoding as it is
-// instead of letting encoding/json re-scan and compact it: the inner matrix
-// is nearly all of the payload (1.4 MB at m = 256).
+// MarshalJSON implements json.Marshaler. The wire form carries the hash
+// family as its seed and the inner matrix in the rr matrix format:
+//
+//	{"domain":…,"hashes":…,"hash_range":…,"hash_seed":…,"inner":{…}}
+//
+// These are the bytes json.Marshal writes for a struct of those members,
+// but the inner matrix's encoding is appended as it is instead of letting
+// encoding/json re-scan and compact it: the inner matrix is nearly all of
+// the payload (1.4 MB at m = 256).
 func (s *CMSScheme) MarshalJSON() ([]byte, error) {
 	inner := []byte("null")
 	if s.inner != nil {
@@ -475,27 +486,62 @@ func (s *CMSScheme) MarshalJSON() ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler, revalidating through New.
+// UnmarshalJSON implements json.Unmarshaler, revalidating through New. data
+// must hold the one scheme (see decode).
 func (s *CMSScheme) UnmarshalJSON(data []byte) error {
-	var raw cmsJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("sketch: decoding scheme: %w", err)
-	}
-	if raw.Inner == nil {
-		return fmt.Errorf("%w: missing inner matrix", ErrBadParams)
-	}
-	decoded, err := New(raw.Domain, raw.Hashes, raw.HashRange, raw.Inner, raw.HashSeed)
+	c := strictjson.New(data)
+	decoded, err := decode(c)
 	if err != nil {
 		return err
+	}
+	if err := c.End(); err != nil {
+		return fmt.Errorf("sketch: decoding scheme: %w", err)
 	}
 	*s = *decoded
 	return nil
 }
 
+// decode reads the wire form at c under strictjson's grammar, the inner
+// matrix where it lies, and rebuilds the scheme through New, so every
+// invariant is checked again.
+func decode(c *strictjson.Cursor) (*CMSScheme, error) {
+	var (
+		domain, hashes, hashRange int
+		hashSeed                  uint64
+		inner                     *rr.Matrix
+	)
+	integer := func(dst *int) func(*strictjson.Cursor) error {
+		return func(c *strictjson.Cursor) (err error) {
+			*dst, err = c.Int()
+			return err
+		}
+	}
+	err := c.Object(
+		strictjson.Member{Name: "domain", Read: integer(&domain)},
+		strictjson.Member{Name: "hashes", Read: integer(&hashes)},
+		strictjson.Member{Name: "hash_range", Read: integer(&hashRange)},
+		strictjson.Member{Name: "hash_seed", Read: func(c *strictjson.Cursor) (err error) {
+			hashSeed, err = c.Uint64()
+			return err
+		}},
+		strictjson.Member{Name: "inner", Read: func(c *strictjson.Cursor) (err error) {
+			inner, err = rr.DecodeMatrix(c)
+			return err
+		}},
+	)
+	if err != nil {
+		return nil, fmt.Errorf("sketch: decoding scheme: %w", err)
+	}
+	if inner == nil {
+		return nil, fmt.Errorf("%w: missing inner matrix", ErrBadParams)
+	}
+	return New(domain, hashes, hashRange, inner, hashSeed)
+}
+
 func init() {
-	rr.RegisterScheme(Kind, func(data []byte) (rr.Scheme, error) {
-		s := new(CMSScheme)
-		if err := s.UnmarshalJSON(data); err != nil {
+	rr.RegisterScheme(Kind, func(c *strictjson.Cursor) (rr.Scheme, error) {
+		s, err := decode(c)
+		if err != nil {
 			return nil, err
 		}
 		return s, nil
