@@ -15,10 +15,12 @@
 #   race           go test -race over the concurrency-critical packages
 #                  (collector, core, obs — metrics and trace recording race
 #                  live scrapes by design — plus the rrserver collection
-#                  service, its SDK and the sketch scheme) and the
-#                  worker-parallel paths (experiment grid, batch
-#                  disguise/sampling, multi-attribute Disguise sharing each
-#                  matrix's lazily built sampler tables); the island
+#                  service, its SDK, the sketch scheme and rr, whose
+#                  matrices lazily build the sampler tables and the
+#                  inversion factorization that concurrent disguises and
+#                  estimates share) and the worker-parallel paths
+#                  (experiment grid, batch sampling, multi-attribute
+#                  Disguise sharing each matrix's sampler tables); the island
 #                  scheduler and the collector's concurrency tests
 #                  (multi-shard ingest, Merge and snapshots racing queries,
 #                  writers, dense and sketch schemes) additionally run under
@@ -104,9 +106,9 @@ echo "== perfbench (nested module: vet + its own tests) =="
 GOFLAGS= GOPROXY=off GOTOOLCHAIN=local go -C perfbench vet ./...
 GOFLAGS= GOPROXY=off GOTOOLCHAIN=local go -C perfbench test ./...
 
-echo "== go test -race (collector, core, obs, rrserver, sketch) =="
+echo "== go test -race (collector, core, obs, rrserver, sketch, rr) =="
 go test -race ./internal/collector ./internal/core ./internal/obs \
-    ./internal/rrserver ./internal/rrclient ./internal/sketch
+    ./internal/rrserver ./internal/rrclient ./internal/sketch ./internal/rr
 
 echo "== go test -race -cpu 1,4 (islands, collector concurrency, joint evaluation) =="
 go test -race -cpu 1,4 -run 'Island|Sharded|Writer|Contention|Race|Concurrent|Multi|Joint|Sketch' \
@@ -114,7 +116,7 @@ go test -race -cpu 1,4 -run 'Island|Sharded|Writer|Contention|Race|Concurrent|Mu
 
 echo "== go test -race (parallel paths) =="
 go test -race -run 'Parallel|Grid|Batch|Stream|Tuple' \
-    ./internal/experiments ./internal/rr ./internal/dataset ./internal/mining
+    ./internal/experiments ./internal/dataset ./internal/mining
 
 echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, scheme body, batch codec) =="
 go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 5s ./internal/sketch

@@ -2,9 +2,10 @@
 // paper (Section I): individuals hold private categorical values, each
 // applies randomized response locally, and a central collector aggregates
 // the disguised reports — never seeing an original value — while maintaining
-// a running reconstruction of the population distribution with confidence
-// bounds: the closed-form variance of Theorem 6 for a dense disguise
-// matrix, the scheme's own distribution-free bounds for a count-mean sketch.
+// a running reconstruction of the population distribution with the
+// confidence bounds its scheme states (rr.Scheme.Reconstruct): the
+// closed-form variance of Theorem 6 for a dense disguise matrix, the
+// sketch's own distribution-free bounds for a count-mean sketch.
 package collector
 
 import (
@@ -54,12 +55,10 @@ var (
 // whole state: the report metrics Instrument serves are read from them at
 // scrape time, not kept beside them.
 //
-// How a fold becomes estimates and confidence bounds is the one thing that
-// differs between scheme kinds, and New picks it once (see bounds): a dense
-// *rr.Matrix reconstructs through an LU factorization cached at
-// construction, with Theorem-6 half-widths and margin projection; any other
-// scheme debiases through its EstimateFrom and states its own bounds when it
-// has EstimateWithBound, as the count-mean sketch does.
+// The scheme turns a fold into estimates and confidence bounds: Estimate
+// asks its EstimateFrom, Snapshot and the heavy-hitter scans its
+// Reconstruct, so the collector runs one path for every scheme kind. Only
+// the margin projection is dense-only (ReportsForMargin).
 //
 // Instrument attaches live metrics and structured trace events; a bare
 // collector carries no instrumentation and pays nothing for the hooks.
@@ -68,11 +67,10 @@ var (
 // RestoreOnto.
 type Collector struct {
 	scheme rr.Scheme
-	// encoded is the scheme's envelope and version, computed on first use
-	// (or handed over by NewEncoded) and kept: the scheme is fixed for the
-	// collector's lifetime, so snapshots and Merge never encode it again.
-	encoded func() (encodedScheme, error)
-	bounds  bounds
+	// encoded is the scheme's envelope, encoded on first use (or handed
+	// over by NewEncoded) and kept: the scheme is fixed for the collector's
+	// lifetime, so snapshots and Merge never encode it again.
+	encoded func() ([]byte, error)
 	set     shardSet
 	cursor  atomic.Uint64 // round-robins Writer shard assignment only
 	ins     *instrumentation
@@ -104,17 +102,13 @@ func newCollector(scheme rr.Scheme, env []byte, shards int) *Collector {
 	width := scheme.ReportSpace()
 	return &Collector{
 		scheme: scheme,
-		encoded: sync.OnceValues(func() (encodedScheme, error) {
-			if env == nil {
-				var err error
-				if env, err = rr.MarshalScheme(scheme); err != nil {
-					return encodedScheme{}, err
-				}
+		encoded: sync.OnceValues(func() ([]byte, error) {
+			if env != nil {
+				return env, nil
 			}
-			return encodedScheme{env: env, version: rr.EnvelopeVersion(env)}, nil
+			return rr.MarshalScheme(scheme)
 		}),
-		bounds: boundsFor(scheme),
-		set:    newShardSet(shards, width),
+		set: newShardSet(shards, width),
 		tallies: sync.Pool{New: func() any {
 			tally := make([]int, width)
 			return &tally
@@ -122,21 +116,18 @@ func newCollector(scheme rr.Scheme, env []byte, shards int) *Collector {
 	}
 }
 
-// encodedScheme is a scheme's rr.MarshalScheme envelope and the
-// rr.EnvelopeVersion of it.
-type encodedScheme struct {
-	env     []byte
-	version string
-}
-
 // Scheme returns the scheme the reports are disguised with.
 func (c *Collector) Scheme() rr.Scheme { return c.scheme }
 
-// SchemeVersion returns rr.SchemeVersion of the collector's scheme, from
-// the envelope the collector encodes once and keeps.
+// SchemeVersion returns rr.SchemeVersion of the collector's scheme: the
+// hash of the envelope the collector encodes once and keeps, taken at each
+// call.
 func (c *Collector) SchemeVersion() (string, error) {
-	enc, err := c.encoded()
-	return enc.version, err
+	env, err := c.encoded()
+	if err != nil {
+		return "", err
+	}
+	return rr.EnvelopeVersion(env), nil
 }
 
 // Categories returns the original domain size the scheme covers.
@@ -233,18 +224,18 @@ func (c *Collector) Counts() []int {
 	return counts
 }
 
-// Estimate returns the raw debiased frequency estimates for the requested
-// original categories, from one consistent fold; with no arguments it
-// estimates the full domain. A dense matrix answers through the cached
-// factorization (the Theorem-1 inversion estimator); components may fall
-// slightly outside [0, 1] for small samples, and Snapshot reports the
+// Estimate returns the scheme's raw debiased frequency estimates
+// (rr.Scheme.EstimateFrom) for the requested original categories, from one
+// consistent fold; with no arguments it estimates the full domain. For a
+// dense matrix this is the Theorem-1 inversion estimator, whose components
+// may fall slightly outside [0, 1] for small samples; Snapshot reports the
 // simplex-clipped reconstruction.
 func (c *Collector) Estimate(categories ...int) ([]float64, error) {
 	counts, total := c.fold()
 	if total == 0 {
 		return nil, ErrNoReports
 	}
-	return c.bounds.estimate(counts, total, categories)
+	return c.scheme.EstimateFrom(counts, categories)
 }
 
 // Summary is a point-in-time view of the collection.
@@ -258,8 +249,8 @@ type Summary struct {
 	// simplex-clipped inversion for a dense matrix, the raw debiased
 	// frequencies otherwise.
 	Estimate []float64
-	// HalfWidth holds per-category confidence half-widths at Z; nil when
-	// the scheme states no bounds.
+	// HalfWidth holds per-category confidence half-widths at Z, as the
+	// scheme states them (rr.Scheme.Reconstruct).
 	HalfWidth []float64
 	// Z is the normal quantile the half-widths were computed at.
 	Z float64
@@ -267,7 +258,8 @@ type Summary struct {
 
 // Snapshot returns the current reconstruction of the requested categories
 // (all of them when none are given) from one consistent fold, with
-// z-quantile confidence half-widths (z = 1.96 for ~95%; see bounds).
+// z-quantile confidence half-widths (z = 1.96 for ~95%; see
+// rr.Scheme.Reconstruct).
 func (c *Collector) Snapshot(z float64, categories ...int) (Summary, error) {
 	// !(z > 0) rather than z <= 0: NaN fails every comparison, so a NaN z
 	// would otherwise sail through and poison every half-width.
@@ -278,10 +270,11 @@ func (c *Collector) Snapshot(z float64, categories ...int) (Summary, error) {
 	if total == 0 {
 		return Summary{}, ErrNoReports
 	}
-	s, err := c.bounds.summarize(counts, total, z, categories)
+	r, err := c.scheme.Reconstruct(counts, categories, z)
 	if err != nil {
 		return Summary{}, err
 	}
+	s := Summary{Reports: total, Disguised: r.Disguised, Estimate: r.Estimate, HalfWidth: r.HalfWidth, Z: z}
 	c.ins.observeSnapshot(s)
 	return s, nil
 }
@@ -294,7 +287,19 @@ func (c *Collector) MarginOfError(z float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.worstHalfWidth(), nil
+	return worstHalfWidth(s.HalfWidth), nil
+}
+
+// worstHalfWidth returns the largest confidence half-width across
+// categories.
+func worstHalfWidth(half []float64) float64 {
+	var worst float64
+	for _, h := range half {
+		if h > worst {
+			worst = h
+		}
+	}
+	return worst
 }
 
 // ReportsForMargin returns the approximate number of reports needed for the
@@ -302,13 +307,45 @@ func (c *Collector) MarginOfError(z float64) (float64, error) {
 // assuming the current estimate of the distribution. It needs at least one
 // ingested report to calibrate, and a dense matrix: a sketch's collision
 // term does not shrink with more reports.
+//
+// Edge cases are pinned by TestReportsForMarginEdgeCases: a non-positive or
+// non-finite margin is ErrBadMargin (NaN fails the < 0 and <= 0
+// comparisons, so it needs an explicit check, or it would flow into the
+// extrapolation as an undefined int conversion); an empty collector is
+// ErrNoReports, never a division by zero; and a margin the current
+// collection already meets answers with the current total rather than
+// extrapolating downward.
 func (c *Collector) ReportsForMargin(margin, z float64) (int, error) {
-	sv, dense := c.bounds.(*solver)
-	if !dense {
+	if _, dense := c.scheme.(*rr.Matrix); !dense {
 		return 0, fmt.Errorf("collector: margin projection needs a dense matrix scheme, not %q", c.scheme.Kind())
 	}
 	counts, total := c.fold()
-	return sv.reportsForMargin(counts, total, margin, z)
+	if !(margin > 0) || math.IsInf(margin, 1) {
+		return 0, fmt.Errorf("%w: got %v", ErrBadMargin, margin)
+	}
+	if total == 0 {
+		return 0, ErrNoReports
+	}
+	if !(z > 0) || math.IsInf(z, 1) {
+		return 0, fmt.Errorf("collector: z must be a positive finite number, got %v", z)
+	}
+	r, err := c.scheme.Reconstruct(counts, nil, z)
+	if err != nil {
+		return 0, err
+	}
+	cur := worstHalfWidth(r.HalfWidth)
+	if cur <= margin {
+		// Already there (or exactly there): the answer is the evidence we
+		// have, not a <= total extrapolation.
+		return total, nil
+	}
+	// Half-widths scale as 1/sqrt(N).
+	scale := cur / margin
+	need := float64(total) * scale * scale
+	if need > math.MaxInt32 {
+		return math.MaxInt32, nil
+	}
+	return int(math.Ceil(need)), nil
 }
 
 // HeavyHitters returns the categories whose reconstructed frequency (the
@@ -329,11 +366,11 @@ func (c *Collector) ScanHeavyHitters(threshold float64, limit int) (hits []minin
 	if total == 0 {
 		return nil, 0, ErrNoReports
 	}
-	ests, err := c.bounds.reconstruct(counts, total)
+	r, err := c.scheme.Reconstruct(counts, nil, 0)
 	if err != nil {
 		return nil, 0, err
 	}
-	if hits, err = mining.HeavyHitters(mining.Frequencies(ests), threshold); err != nil {
+	if hits, err = mining.HeavyHitters(mining.Frequencies(r.Estimate), threshold); err != nil {
 		return nil, 0, err
 	}
 	if limit > 0 && len(hits) > limit {

@@ -114,16 +114,16 @@ func snapshotShapes(t testing.TB) (running []*Collector, shapes []shape) {
 			t.Fatal(err)
 		}
 		kind := c.Scheme().Kind()
-		payload := enc.env[len(`{"kind":"`+kind+`","scheme":`) : len(enc.env)-1]
+		payload := enc[len(`{"kind":"`+kind+`","scheme":`) : len(enc)-1]
 		shapes = append(shapes,
 			shape{kind + " snapshot", snap},
 			shape{kind + " snapshot, json.Indent", indent(t, snap)},
 			shape{kind + " snapshot, members reversed",
-				[]byte(`{"total":5,"counts":` + string(counts) + `,"scheme":` + string(enc.env) + `}`)},
+				[]byte(`{"total":5,"counts":` + string(counts) + `,"scheme":` + string(enc) + `}`)},
 			shape{kind + " snapshot, envelope members reversed",
 				[]byte(`{"scheme":{"scheme":` + string(payload) + `,"kind":"` + kind + `"},"counts":` + string(counts) + `,"total":5}`)},
 			shape{kind + " snapshot, unknown member",
-				[]byte(`{"scheme":` + string(enc.env) + `,"checkpoint":{"journal":"a\"b\u00e9","offset":[12,3.5e2,true,false,null]},"counts":` + string(counts) + `,"total":5}`)},
+				[]byte(`{"scheme":` + string(enc) + `,"checkpoint":{"journal":"a\"b\u00e9","offset":[12,3.5e2,true,false,null]},"counts":` + string(counts) + `,"total":5}`)},
 		)
 	}
 	legacy := []byte(`{"matrix":` + legacyMatrix + `,"counts":[4,6],"total":10}`)
@@ -152,7 +152,7 @@ func TestRestoreCompat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := RestoreOnto(tc.data, 2, r.Scheme(), enc.env)
+				got, err := RestoreOnto(tc.data, 2, r.Scheme(), enc)
 				if err != nil {
 					t.Fatalf("RestoreOnto(%s): %v", r.Scheme().Kind(), err)
 				}
@@ -173,7 +173,7 @@ func TestRestoreRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := string(enc.env)
+	env := string(enc)
 	for _, tc := range []struct {
 		name     string
 		data     string
@@ -199,7 +199,7 @@ func TestRestoreRejects(t *testing.T) {
 			if _, err := Restore([]byte(tc.data), 1); !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("Restore: err = %v, want ErrBadSnapshot", err)
 			}
-			if _, err := RestoreOnto([]byte(tc.data), 1, c.Scheme(), enc.env); !errors.Is(err, ErrBadSnapshot) {
+			if _, err := RestoreOnto([]byte(tc.data), 1, c.Scheme(), enc); !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("RestoreOnto: err = %v, want ErrBadSnapshot", err)
 			}
 			_, raw, err := oracleSnapshot([]byte(tc.data))
@@ -216,7 +216,7 @@ func TestRestoreRejects(t *testing.T) {
 	if _, err := Restore(base, 1); err != nil {
 		t.Fatalf("Restore refuses the base snapshot: %v", err)
 	}
-	if _, err := RestoreOnto(base, 1, c.Scheme(), enc.env); err != nil {
+	if _, err := RestoreOnto(base, 1, c.Scheme(), enc); err != nil {
 		t.Fatalf("RestoreOnto refuses the base snapshot: %v", err)
 	}
 }

@@ -21,7 +21,7 @@ import (
 func FuzzRestore(f *testing.F) {
 	dense := New(mustWarner(f, 3, 0.8), 2)
 	sketched := New(testCMS(f, 50, 2, 4), 2)
-	var running []*encodedScheme
+	var running [][]byte
 	for _, c := range []*Collector{dense, sketched} {
 		if err := c.IngestBatch([]int{0, 1, 2, 2, 1}); err != nil {
 			f.Fatal(err)
@@ -30,7 +30,7 @@ func FuzzRestore(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		running = append(running, &enc)
+		running = append(running, enc)
 	}
 	denseSnap, err := json.Marshal(dense)
 	if err != nil {
@@ -58,7 +58,7 @@ func FuzzRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Restore(data, 2)
 		for i, onto := range []*Collector{dense, sketched} {
-			got, ontoErr := RestoreOnto(data, 2, onto.Scheme(), running[i].env)
+			got, ontoErr := RestoreOnto(data, 2, onto.Scheme(), running[i])
 			if (err == nil) != (ontoErr == nil) {
 				t.Fatalf("Restore err %v, RestoreOnto(%s) err %v", err, onto.Scheme().Kind(), ontoErr)
 			}

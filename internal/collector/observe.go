@@ -93,7 +93,7 @@ func (ins *instrumentation) observeSnapshot(s Summary) {
 		return
 	}
 	ins.snapshots.Inc()
-	worst := s.worstHalfWidth()
+	worst := worstHalfWidth(s.HalfWidth)
 	ins.margin.Set(worst)
 	if ins.rec.Enabled() {
 		ins.rec.Record("collector.snapshot", obs.Fields{

@@ -24,14 +24,14 @@ import (
 // so a snapshot costs a fold and a copy. Call it directly: json.Marshal(c)
 // re-scans the result once more to compact it.
 func (c *Collector) MarshalJSON() ([]byte, error) {
-	enc, err := c.encoded()
+	env, err := c.encoded()
 	if err != nil {
 		return nil, err
 	}
 	counts, total := c.fold()
-	b := make([]byte, 0, len(enc.env)+64+4*len(counts))
+	b := make([]byte, 0, len(env)+64+4*len(counts))
 	b = append(b, `{"scheme":`...)
-	b = append(b, enc.env...)
+	b = append(b, env...)
 	b = append(b, `,"counts":[`...)
 	for k, v := range counts {
 		if k > 0 {

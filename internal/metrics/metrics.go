@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 
-	"optrr/internal/matrix"
 	"optrr/internal/rr"
 )
 
@@ -189,13 +188,8 @@ func Utility(m *rr.Matrix, prior []float64, records int) (float64, error) {
 }
 
 // PerCategoryMSE returns the closed-form MSE of the inversion estimate of
-// each category probability (Theorem 6):
-//
-//	MSE(c_k) = Σ_i β²_{k,i}·Var(N_i/N) + Σ_{i≠j} β_{k,i}β_{k,j}·Cov(N_i/N, N_j/N)
-//	         = (1/N)·(Σ_i β²_{k,i}·P*_i − P_k²),
-//
-// where β is M⁻¹ and the simplification uses Var(N_i/N) = P*_i(1−P*_i)/N,
-// Cov(N_i/N, N_j/N) = −P*_i·P*_j/N and Σ_i β_{k,i}·P*_i = P_k.
+// each category probability (Theorem 6; see rr.Matrix.InversionMSE) for a
+// data set of records records drawn from the prior.
 func PerCategoryMSE(m *rr.Matrix, prior []float64, records int) ([]float64, error) {
 	if records <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadRecords, records)
@@ -203,46 +197,7 @@ func PerCategoryMSE(m *rr.Matrix, prior []float64, records int) ([]float64, erro
 	if err := validatePrior(m, prior); err != nil {
 		return nil, err
 	}
-	inv, err := m.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	return PerCategoryMSEWithInverse(m, inv, prior, records)
-}
-
-// PerCategoryMSEWithInverse is PerCategoryMSE with a caller-provided M⁻¹,
-// skipping the LU factorization — the path collectors take on repeated
-// snapshot queries, where the disguise matrix (and hence its inverse) is
-// fixed for the whole campaign. inv must be the inverse of m; passing
-// anything else silently yields wrong variances.
-func PerCategoryMSEWithInverse(m *rr.Matrix, inv *matrix.Dense, prior []float64, records int) ([]float64, error) {
-	if records <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadRecords, records)
-	}
-	if err := validatePrior(m, prior); err != nil {
-		return nil, err
-	}
-	pStar, err := m.DisguisedDistribution(prior)
-	if err != nil {
-		return nil, err
-	}
-	n := m.N()
-	invN := 1 / float64(records)
-	out := make([]float64, n)
-	for k := 0; k < n; k++ {
-		var quad, mean float64
-		for i := 0; i < n; i++ {
-			b := inv.At(k, i)
-			quad += b * b * pStar[i]
-			mean += b * pStar[i]
-		}
-		mse := invN * (quad - mean*mean)
-		if mse < 0 {
-			mse = 0 // guard against round-off on near-deterministic matrices
-		}
-		out[k] = mse
-	}
-	return out, nil
+	return m.InversionMSE(prior, records)
 }
 
 // Evaluation bundles the objectives for one RR matrix under a fixed prior

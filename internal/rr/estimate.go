@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"optrr/internal/matrix"
 	"optrr/internal/obs"
 )
 
@@ -34,16 +35,112 @@ func (m *Matrix) EstimateInversion(disguised []int) ([]float64, error) {
 }
 
 // EstimateInversionFromDistribution applies the inversion estimator to an
-// already-computed disguised distribution P̂*.
+// already-computed disguised distribution P̂*: one triangular solve through
+// the matrix's cached factorization.
 func (m *Matrix) EstimateInversionFromDistribution(pStar []float64) ([]float64, error) {
 	if len(pStar) != m.N() {
 		return nil, fmt.Errorf("%w: distribution of length %d for %d categories", ErrShape, len(pStar), m.N())
 	}
-	p, err := m.m.Solve(pStar)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSingular, err)
+	inv := m.inverted()
+	if inv.err != nil {
+		return nil, inv.err
 	}
-	return p, nil
+	return inv.lu.SolveVec(pStar)
+}
+
+// inversion is what the inversion estimator and its Theorem-6 variance run
+// on: the LU factorization of a matrix and the inverse built from it, or
+// the error that refused a singular matrix. It is immutable once built.
+type inversion struct {
+	lu      *matrix.LU
+	inverse *matrix.Dense
+	err     error
+}
+
+// inverted returns the matrix's inversion, built on first use and cached
+// until SetColumns or UnmarshalJSON changes the entries. A cached solve is
+// bit for bit the one-shot matrix.Dense.Solve, which runs the same
+// factorization arithmetic. Concurrent first callers race benignly: each
+// builds an inversion of the same entries, so whichever store wins serves
+// identical estimates.
+func (m *Matrix) inverted() *inversion {
+	if inv := m.inv.Load(); inv != nil {
+		return inv
+	}
+	inv := &inversion{lu: matrix.NewLU()}
+	if inv.err = m.FactorizeInto(inv.lu); inv.err == nil {
+		inv.inverse, inv.err = inv.lu.Inverse()
+	}
+	m.inv.Store(inv)
+	return inv
+}
+
+// InversionMSE returns the closed-form MSE of the inversion estimate of
+// each category probability (Theorem 6) over records reports drawn from
+// the original distribution p:
+//
+//	MSE(c_k) = Σ_i β²_{k,i}·Var(N_i/N) + Σ_{i≠j} β_{k,i}β_{k,j}·Cov(N_i/N, N_j/N)
+//	         = (1/N)·(Σ_i β²_{k,i}·P*_i − P_k²),
+//
+// where β is M⁻¹ (the cached inverse) and the simplification uses
+// Var(N_i/N) = P*_i(1−P*_i)/N, Cov(N_i/N, N_j/N) = −P*_i·P*_j/N and
+// Σ_i β_{k,i}·P*_i = P_k. A negative, NaN or infinite entry of p is
+// refused; metrics.PerCategoryMSE also checks that p sums to one.
+func (m *Matrix) InversionMSE(p []float64, records int) ([]float64, error) {
+	if records <= 0 {
+		return nil, fmt.Errorf("%w: %d records", ErrEmptyData, records)
+	}
+	for i, v := range p {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("rr: p[%d] = %v is not a probability", i, v)
+		}
+	}
+	pStar, err := m.DisguisedDistribution(p)
+	if err != nil {
+		return nil, err
+	}
+	inv := m.inverted()
+	if inv.err != nil {
+		return nil, inv.err
+	}
+	invN := 1 / float64(records)
+	out := make([]float64, len(pStar))
+	for k := range out {
+		var quad, mean float64
+		for i, b := range inv.inverse.RowView(k) {
+			quad += b * b * pStar[i]
+			mean += b * pStar[i]
+		}
+		mse := invN * (quad - mean*mean)
+		if mse < 0 {
+			mse = 0 // guard against round-off on near-deterministic matrices
+		}
+		out[k] = mse
+	}
+	return out, nil
+}
+
+// HalfWidths returns the per-category half-widths z·√MSE_k of approximate
+// normal confidence intervals around an inversion estimate from records
+// reports, with the InversionMSE evaluated at p (the clipped estimate, for
+// a reconstruction). z must be a positive finite normal quantile; 1.96
+// gives ~95% intervals.
+func (m *Matrix) HalfWidths(p []float64, records int, z float64) ([]float64, error) {
+	// !(z > 0) rather than z <= 0: NaN fails every comparison, so a NaN z
+	// would otherwise sail through and poison every half-width.
+	if !(z > 0) || math.IsInf(z, 1) {
+		return nil, fmt.Errorf("rr: z must be a positive finite number, got %v", z)
+	}
+	mses, err := m.InversionMSE(p, records)
+	if err != nil {
+		return nil, err
+	}
+	for k, v := range mses {
+		if v > 0 {
+			mses[k] = z * math.Sqrt(v)
+		}
+	}
+	return mses, nil
 }
 
 // IterativeOptions configures EstimateIterative.

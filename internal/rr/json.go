@@ -45,6 +45,7 @@ func (m *Matrix) UnmarshalJSON(data []byte) error {
 	}
 	m.m = decoded.m
 	m.samplers.Store(nil)
+	m.inv.Store(nil)
 	return nil
 }
 

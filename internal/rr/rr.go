@@ -28,10 +28,12 @@ const stochasticTol = 1e-9
 type Matrix struct {
 	m *matrix.Dense
 
-	// samplers lazily caches the per-column alias samplers (see Samplers).
-	// SetColumns invalidates it; all other methods leave the columns — and
-	// therefore the cache — untouched.
+	// samplers lazily caches the per-column alias samplers (see Samplers),
+	// and inv the factorization the inversion estimator and Theorem 6 run on
+	// (see inverted). SetColumns and UnmarshalJSON clear both; all other
+	// methods leave the columns — and therefore the caches — untouched.
 	samplers atomic.Pointer[[]*randx.Alias]
+	inv      atomic.Pointer[inversion]
 }
 
 // RR errors.
@@ -104,6 +106,7 @@ func (m *Matrix) SetColumns(cols [][]float64) error {
 		m.m.SetCol(i, col)
 	}
 	m.samplers.Store(nil)
+	m.inv.Store(nil)
 	return m.Validate()
 }
 

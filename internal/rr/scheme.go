@@ -17,14 +17,18 @@ import (
 // above the matrix math — collectors, the collection service, the disguise
 // SDK, mining — do not assume the dense n×n matrix representation. A scheme
 // maps a private value from a category domain onto an encoded report in a
-// (possibly much smaller) report space, and debiases aggregated report
-// counts back into frequency estimates over the original domain.
+// (possibly much smaller) report space, debiases aggregated report counts
+// back into frequency estimates over the original domain, and states the
+// confidence bounds of its own reconstruction, so callers never branch on
+// the scheme kind to estimate or bound.
 //
 // *Matrix is the dense scheme: report space == domain, disguise draws from
-// the matrix column, estimation is the Theorem-1 inversion. The
-// Count-Mean-Sketch scheme (internal/sketch) hashes a huge domain into a
-// small hash range first, so its report space is O(hashes·hashRange),
-// independent of the domain size.
+// the matrix column, estimation is the Theorem-1 inversion through a cached
+// factorization, bounded by the Theorem-6 variance. The Count-Mean-Sketch
+// scheme (internal/sketch) hashes a huge domain into a small hash range
+// first, so its report space is O(hashes·hashRange), independent of the
+// domain size, and bounds its estimates with its sampling and collision
+// terms.
 type Scheme interface {
 	// Kind identifies the scheme family on the wire (see RegisterScheme).
 	Kind() string
@@ -46,6 +50,28 @@ type Scheme interface {
 	// into frequency estimates for the requested original categories; a nil
 	// categories slice means the full domain, in order.
 	EstimateFrom(counts []int, categories []int) ([]float64, error)
+	// Reconstruct takes EstimateFrom's arguments and returns the estimate
+	// the scheme states its confidence bounds for and, when z > 0, the
+	// per-category half-widths at the normal quantile z (callers validate
+	// z): the simplex-clipped inversion with Theorem-6 half-widths for a
+	// dense matrix, the debiased frequencies with the sketch's own bounds
+	// for a count-mean sketch. z = 0 states no bounds.
+	Reconstruct(counts, categories []int, z float64) (Reconstruction, error)
+}
+
+// Reconstruction is a scheme's view of one fold of report counts (see
+// Scheme.Reconstruct).
+type Reconstruction struct {
+	// Disguised is the empirical distribution of the reports when the report
+	// space is the category domain (a dense matrix), over the whole domain;
+	// nil otherwise.
+	Disguised []float64
+	// Estimate is the reconstruction of the requested categories that the
+	// half-widths are stated for.
+	Estimate []float64
+	// HalfWidth holds the requested categories' confidence half-widths; nil
+	// when none were asked for (z = 0).
+	HalfWidth []float64
 }
 
 // DenseKind is the Kind of the dense matrix scheme.
@@ -260,42 +286,84 @@ func (m *Matrix) DisguiseValue(value int, rng *randx.Source) (int, error) {
 
 // EstimateFrom debiases aggregated report counts via the Theorem-1 inversion
 // estimator: counts are normalized into the empirical disguised distribution
-// and solved back through the matrix. A nil categories slice returns the
-// full domain estimate; otherwise the requested categories are selected from
-// it.
+// and solved back through the matrix's cached factorization. A nil
+// categories slice returns the full domain estimate; otherwise the requested
+// categories are selected from it.
 func (m *Matrix) EstimateFrom(counts []int, categories []int) ([]float64, error) {
-	n := m.N()
-	if len(counts) != n {
-		return nil, fmt.Errorf("%w: %d counts for %d categories", ErrShape, len(counts), n)
-	}
-	total := 0
-	for k, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("%w: count[%d] = %d is negative", ErrShape, k, c)
-		}
-		total += c
-	}
-	if total == 0 {
-		return nil, ErrEmptyData
-	}
-	pStar := make([]float64, n)
-	inv := 1 / float64(total)
-	for k, c := range counts {
-		pStar[k] = float64(c) * inv
+	pStar, _, err := m.disguisedFrom(counts)
+	if err != nil {
+		return nil, err
 	}
 	est, err := m.EstimateInversionFromDistribution(pStar)
 	if err != nil {
 		return nil, err
 	}
+	return pick(est, categories)
+}
+
+// Reconstruct is EstimateFrom clipped onto the probability simplex (Clip),
+// with the Theorem-6 half-widths (HalfWidths) evaluated at the clipped
+// full-domain estimate when z > 0, and the empirical disguised distribution.
+func (m *Matrix) Reconstruct(counts, categories []int, z float64) (Reconstruction, error) {
+	pStar, total, err := m.disguisedFrom(counts)
+	if err != nil {
+		return Reconstruction{}, err
+	}
+	raw, err := m.EstimateInversionFromDistribution(pStar)
+	if err != nil {
+		return Reconstruction{}, err
+	}
+	r := Reconstruction{Disguised: pStar, Estimate: Clip(raw)}
+	if z > 0 {
+		if r.HalfWidth, err = m.HalfWidths(r.Estimate, total, z); err != nil {
+			return Reconstruction{}, err
+		}
+	}
+	if r.Estimate, err = pick(r.Estimate, categories); err != nil {
+		return Reconstruction{}, err
+	}
+	if r.HalfWidth != nil {
+		r.HalfWidth, _ = pick(r.HalfWidth, categories) // same length, categories just validated
+	}
+	return r, nil
+}
+
+// disguisedFrom validates aggregated report counts and normalizes them into
+// the empirical disguised distribution P̂*, returning it with their total.
+func (m *Matrix) disguisedFrom(counts []int) (pStar []float64, total int, err error) {
+	n := m.N()
+	if len(counts) != n {
+		return nil, 0, fmt.Errorf("%w: %d counts for %d categories", ErrShape, len(counts), n)
+	}
+	for k, c := range counts {
+		if c < 0 {
+			return nil, 0, fmt.Errorf("%w: count[%d] = %d is negative", ErrShape, k, c)
+		}
+		total += c
+	}
+	if total == 0 {
+		return nil, 0, ErrEmptyData
+	}
+	pStar = make([]float64, n)
+	inv := 1 / float64(total)
+	for k, c := range counts {
+		pStar[k] = float64(c) * inv
+	}
+	return pStar, total, nil
+}
+
+// pick selects the requested categories from a full-domain vector; nil
+// categories returns the vector itself.
+func pick(full []float64, categories []int) ([]float64, error) {
 	if categories == nil {
-		return est, nil
+		return full, nil
 	}
 	out := make([]float64, len(categories))
 	for i, x := range categories {
-		if x < 0 || x >= n {
-			return nil, fmt.Errorf("%w: category %d of %d", ErrShape, x, n)
+		if x < 0 || x >= len(full) {
+			return nil, fmt.Errorf("%w: category %d of %d", ErrShape, x, len(full))
 		}
-		out[i] = est[x]
+		out[i] = full[x]
 	}
 	return out, nil
 }

@@ -22,9 +22,11 @@
 //	                      caps the result; scans the original domain
 //
 // Every handler takes one path whatever the deployed rr.Scheme: the
-// collector debiases and bounds a dense *rr.Matrix with Theorem 6 and a
-// count-mean sketch (O(k·m) state) with its own bounds. When the domain is
-// larger than the report space, /v1/estimate requires ?categories=.
+// collector asks the scheme for its estimate and bounds
+// (rr.Scheme.Reconstruct), which are Theorem 6's for a dense *rr.Matrix and
+// the sketch's own for a count-mean sketch (O(k·m) state); only ?margin=
+// needs the dense kind. When the domain is larger than the report space,
+// /v1/estimate requires ?categories=.
 // Ingest bodies are capped before decoding. Batch bodies are decoded in one
 // pass by rrapi.DecodeBatch, whose strict grammar answers 400 to some
 // bodies encoding/json would read ({}, a null array, unknown or duplicate

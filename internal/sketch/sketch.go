@@ -268,6 +268,17 @@ func (s *CMSScheme) EstimateWithBound(counts []int, categories []int, z, ell2 fl
 	return s.estimate(counts, categories, z, ell2)
 }
 
+// Reconstruct implements rr.Scheme: the EstimateFrom frequencies and, when
+// z > 0, their EstimateWithBound half-widths stated at the worst-case
+// ℓ² = 1, since nothing better is known about the true distribution.
+func (s *CMSScheme) Reconstruct(counts, categories []int, z float64) (rr.Reconstruction, error) {
+	ests, bounds, err := s.estimate(counts, categories, z, 1)
+	if err != nil {
+		return rr.Reconstruction{}, err
+	}
+	return rr.Reconstruction{Estimate: ests, HalfWidth: bounds}, nil
+}
+
 // scanChunk is how many categories the full-domain scan covers per pass over
 // the sketch rows: the chunk's running estimates (16 KiB) stay in L1 cache
 // while each row adds its contribution.

@@ -2,7 +2,6 @@ package optrr
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"optrr/internal/core"
@@ -160,22 +159,13 @@ func JointMaxPosterior(ms []*Matrix, joint []float64) (float64, error) {
 // normal confidence intervals for an inversion estimate produced by m over
 // a data set of the given size: halfWidth[k] = z·sqrt(MSE_k) with MSE_k the
 // closed-form per-category variance of Theorem 6 evaluated at the estimated
-// distribution. z = 1.96 gives ~95% intervals. The estimate is clipped onto
-// the simplex for the variance evaluation.
+// distribution, clipped onto the simplex (rr.Matrix.HalfWidths, the
+// half-widths a dense collector's snapshot states). z = 1.96 gives ~95%
+// intervals; z must be a positive finite number.
 func ConfidenceIntervals(m *Matrix, estimate []float64, records int, z float64) ([]float64, error) {
-	if z <= 0 {
-		return nil, fmt.Errorf("optrr: z must be positive, got %v", z)
-	}
-	clipped := rr.Clip(estimate)
-	mses, err := metrics.PerCategoryMSE(m, clipped, records)
+	half, err := m.HalfWidths(rr.Clip(estimate), records, z)
 	if err != nil {
 		return nil, fmt.Errorf("optrr: %w", err)
 	}
-	out := make([]float64, len(mses))
-	for k, v := range mses {
-		if v > 0 {
-			out[k] = z * math.Sqrt(v)
-		}
-	}
-	return out, nil
+	return half, nil
 }

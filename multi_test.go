@@ -243,8 +243,10 @@ func TestConfidenceIntervalsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ConfidenceIntervals(m, []float64{0.5, 0.3, 0.2}, 100, 0); err == nil {
-		t.Fatal("z = 0 accepted")
+	for _, z := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := ConfidenceIntervals(m, []float64{0.5, 0.3, 0.2}, 100, z); err == nil {
+			t.Fatalf("z = %v accepted", z)
+		}
 	}
 	if _, err := ConfidenceIntervals(m, []float64{0.5, 0.3, 0.2}, 0, 1.96); err == nil {
 		t.Fatal("records = 0 accepted")

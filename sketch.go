@@ -13,10 +13,15 @@ import (
 
 // Scheme is a randomized-response disguise scheme: a domain, a report
 // space, per-record and batch disguising, and debiased frequency
-// estimation. *Matrix implements it (dense, report space = domain), as does
-// the count-mean sketch (report space = hashes × hash range, independent of
-// the domain).
+// estimation with the confidence bounds the scheme states for it
+// (Reconstruct). *Matrix implements it (dense, report space = domain), as
+// does the count-mean sketch (report space = hashes × hash range,
+// independent of the domain).
 type Scheme = rr.Scheme
+
+// Reconstruction is what Scheme.Reconstruct returns: an estimate and the
+// half-widths the scheme states for it.
+type Reconstruction = rr.Reconstruction
 
 // SketchScheme is the count-mean-sketch scheme: values hash into a small
 // range, the hashed cell is disguised through an inner RR matrix, and
