@@ -42,7 +42,10 @@
 #                  path reads as the same scheme, version and z) and on the
 #                  rrapi batch-body codec (every body it accepts,
 #                  encoding/json reads as the same reports; its encoding
-#                  equals json.Marshal and round-trips)
+#                  equals json.Marshal and round-trips), and on SPEA2
+#                  fitness assignment over 2–6 objectives (a warm Scratch
+#                  equals a fresh one and the reference implementation bit
+#                  for bit)
 #   results        the whole paper reproduction: cmd/experiments at its
 #                  default budget (about 40 s) regenerates every CSV into a
 #                  temporary directory, every shape check must pass, and the
@@ -118,12 +121,13 @@ echo "== go test -race (parallel paths) =="
 go test -race -run 'Parallel|Grid|Batch|Stream|Tuple' \
     ./internal/experiments ./internal/dataset ./internal/mining
 
-echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, scheme body, batch codec) =="
+echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, scheme body, batch codec, SPEA2 fitness) =="
 go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 5s ./internal/sketch
 go test -run '^$' -fuzz '^FuzzUnmarshalScheme$' -fuzztime 5s ./internal/sketch
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 5s ./internal/collector
 go test -run '^$' -fuzz '^FuzzDecodeSchemeResponse$' -fuzztime 5s ./internal/rrapi
 go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 5s ./internal/rrapi
+go test -run '^$' -fuzz '^FuzzAssignFitnessKDim$' -fuzztime 5s ./internal/emoo
 
 echo "== results (paper reproduction, byte for byte) =="
 repro=$(mktemp -d)

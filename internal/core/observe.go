@@ -80,7 +80,7 @@ func newOptimizerMetrics(reg *obs.Registry) *optimizerMetrics {
 }
 
 // emitStart records the run configuration. The effective worker count (the
-// resolved Config.Workers every parallel kernel sees) and the effective
+// resolved Config.Workers that parallel evaluation uses) and the effective
 // island topology go to both the registry gauges and the start event.
 func (o *Optimizer) emitStart() {
 	if m := o.met; m != nil {
@@ -156,10 +156,10 @@ func (o *engine[G]) emitGeneration(st Stats, phases [phaseCount]time.Duration, e
 		"vary_ms":        ms(phases[phaseVary]),
 		"eval_ms":        ms(phases[phaseEval]),
 		"omega_ms":       ms(phases[phaseOmega]),
-		// Parallel-kernel sub-phases: SPEA2 fitness assignment and
-		// environmental selection (truncation). Both overlap select_ms /
-		// vary_ms, so they are reported separately rather than added to
-		// the phase timeline.
+		// SPEA2 sub-phases: fitness assignment and environmental
+		// selection (truncation). Both overlap select_ms / vary_ms, so
+		// they are reported separately rather than added to the phase
+		// timeline.
 		"fitness_ms":  ms(o.fitnessDur),
 		"truncate_ms": ms(o.truncateDur),
 		"workers":     o.cfg.Workers,

@@ -529,8 +529,9 @@ type engine[G cloner[G]] struct {
 	tally generationTally
 	// fitnessDur/truncateDur accumulate, when timed, the wall time of the
 	// generation's SPEA2 fitness assignments and environmental selection
-	// (truncation) — the sub-phases of "select" whose kernels parallelize
-	// across Workers. stepGeneration resets them with the tally.
+	// (truncation), the two SPEA2 sub-phases of "select"; their kernels run
+	// serially on the generation's goroutine. stepGeneration resets them
+	// with the tally.
 	fitnessDur  time.Duration
 	truncateDur time.Duration
 

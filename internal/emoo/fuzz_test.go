@@ -7,10 +7,10 @@ import (
 	"optrr/internal/randx"
 )
 
-// FuzzAssignFitnessKDim fuzzes the scratch-reuse equivalence of
-// AssignFitness over point dimension, cloud size, density k and
-// normalization: for any input, a reused warm Scratch must produce
-// bit-for-bit the fitness of a fresh one. The cloud is derived
+// FuzzAssignFitnessKDim fuzzes AssignFitness over point dimension, cloud
+// size, density k and normalization: for any input, a reused warm Scratch
+// must produce bit-for-bit the fitness of a fresh one, and both must equal
+// the reference implementation in spea2_ref_test.go. The cloud is derived
 // deterministically from the fuzzed seed so failures reproduce from the
 // corpus entry alone.
 func FuzzAssignFitnessKDim(f *testing.F) {
@@ -36,5 +36,6 @@ func FuzzAssignFitnessKDim(f *testing.F) {
 		warm.AssignFitness(kdimCloud(8, d, r), cfg) // dirty the buffers first
 		got := warm.AssignFitness(pts, cfg)
 		fitnessEqual(t, "fuzz", want, got)
+		fitnessEqual(t, "fuzz vs reference", refAssignFitness(pts, cfg), got)
 	})
 }

@@ -2,6 +2,7 @@ package emoo
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"optrr/internal/pareto"
@@ -141,6 +142,77 @@ func TestAssignFitnessKDimZeroAlloc(t *testing.T) {
 		s.AssignFitness(pts, cfg) // warm the buffers
 		allocs := testing.AllocsPerRun(10, func() {
 			s.AssignFitness(pts, cfg)
+		})
+		if allocs != 0 {
+			t.Errorf("dim=%d: %v allocs/op in steady state, want 0", dim, allocs)
+		}
+	}
+}
+
+// truncationCloud builds a dim-objective cloud whose truncation first
+// removes the sole privacy maximum: a 6×6 grid spaced 0.1 apart in privacy
+// and utility, plus a tight triple {max, upper, lower} to its right whose
+// outer member is the nearest neighbour of both others. It returns the
+// cloud and the index of that maximum.
+func truncationCloud(dim int) ([]pareto.Point, int) {
+	extras := make([]float64, dim-2)
+	var pts []pareto.Point
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			for t := range extras {
+				extras[t] = 0.1 * float64((i*(t+3)+j)%6)
+			}
+			pts = append(pts, pareto.NewPoint(0.1*float64(i), 0.1*float64(j), extras...))
+		}
+	}
+	for t := range extras {
+		extras[t] = 0.25
+	}
+	pts = append(pts,
+		pareto.NewPoint(0.7, 0.25, extras...),
+		pareto.NewPoint(0.699, 0.251, extras...),
+		pareto.NewPoint(0.699, 0.249, extras...))
+	return pts, 36
+}
+
+// TestSelectEnvironmentTruncationZeroAlloc checks the steady-state
+// allocation contract of SelectEnvironment's truncation path, including the
+// rebuild after a removal changes the normalization scales, on both the 2-D
+// kernels and the k-dim ones, and pins the selection to the reference. A
+// fitness of all zeros counts every point as non-dominated, so the whole
+// cloud enters truncation. (Among genuinely non-dominated 2-D points a sole
+// extremum is never removed while another point remains: its neighbour
+// along the front is at least as close to every other point. So this is the
+// only test that drives the 2-D rebuild.)
+func TestSelectEnvironmentTruncationZeroAlloc(t *testing.T) {
+	cfg := Config{KNearest: 1, Normalize: true}
+	for _, dim := range []int{2, 3} {
+		pts, extreme := truncationCloud(dim)
+		fit := Fitness{Value: make([]float64, len(pts))}
+		s := NewScratch()
+		first, err := s.SelectEnvironment(pts, fit, len(pts)-1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(first, extreme) {
+			t.Fatalf("dim=%d: first victim is not the privacy maximum %d; the scale-change rebuild is not exercised", dim, extreme)
+		}
+		capacity := len(pts) / 4
+		got, err := s.SelectEnvironment(pts, fit, capacity, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refSelectEnvironment(pts, fit, capacity, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("dim=%d: selection %v, reference %v", dim, got, want)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := s.SelectEnvironment(pts, fit, capacity, cfg); err != nil {
+				t.Fatal(err)
+			}
 		})
 		if allocs != 0 {
 			t.Errorf("dim=%d: %v allocs/op in steady state, want 0", dim, allocs)

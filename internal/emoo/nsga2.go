@@ -94,6 +94,15 @@ func CrowdingDistance(pts []pareto.Point, rank []int) []float64 {
 	return dist
 }
 
+// pointDim returns the objective count of a point set; an empty set counts
+// as the canonical two objectives.
+func pointDim(pts []pareto.Point) int {
+	if len(pts) == 0 {
+		return 2
+	}
+	return pts[0].Dim()
+}
+
 // NSGA2Fitness encodes (rank, crowding) as a scalar compatible with
 // BinaryTournament: lower rank always wins; within a rank, larger crowding
 // (sparser region) wins. The crowding term lives in (0, 0.5], mirroring the

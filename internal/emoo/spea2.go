@@ -20,6 +20,7 @@ package emoo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"optrr/internal/pareto"
@@ -60,9 +61,9 @@ type Fitness struct {
 
 // Scratch holds the reusable state behind SPEA2 fitness assignment and
 // environmental selection: flat dominance and distance matrices, the
-// selection buffers, and the incremental truncation structures. A persistent
-// Scratch makes the per-generation selection loop allocation-free in steady
-// state.
+// selection buffers, the incremental truncation structures and the
+// per-objective normalization scales. A persistent Scratch makes the
+// per-generation selection loop allocation-free in steady state.
 //
 // Slices returned by the Scratch methods (Fitness fields, selection index
 // slices) alias the scratch buffers: they are valid until the next call on
@@ -88,34 +89,10 @@ type Scratch struct {
 	vec    []float64 // per-slot sorted distance vectors, stride m
 	vecLen []int
 
-	// Parallel-pass plumbing. The row-pass closures are built once per
-	// Scratch (see passes) and capture only the Scratch itself; the fields
-	// below carry the per-call state they read, so the steady-state hot
-	// path allocates nothing — a fresh closure per call would escape to the
-	// heap even when the pass runs serially.
-	//
-	// The distance passes are dimension-aware: dim == 2 runs the exact
-	// historical two-objective expressions on scaleP/scaleU (the bit-for-bit
-	// pinned fast path), while dim > 2 runs the generic loop over the
-	// per-objective scales slice. All k-dim state lives in flat reusable
-	// buffers sized by the objective count, so both paths stay
-	// allocation-free in steady state.
-	pts            []pareto.Point // current point set (cleared after each call)
-	dim            int            // objective count of the current point set
-	scaleP, scaleU float64        // 2-D normalization scales for the distance passes
-	scales         []float64      // k-dim normalization scales (dim > 2)
-	scaleLo        []float64      // per-objective minimum scratch (dim > 2)
-	scaleHi        []float64      // per-objective maximum scratch (dim > 2)
-	scalesNew      []float64      // truncation scale-change detection buffer
-	k              int            // effective density k
-	victim         int            // slot being removed by the truncation delete pass
-	strengthPass   func(lo, hi int)
-	rawPass        func(lo, hi int)
-	distPass       func(lo, hi int)
-	densityPass    func(lo, hi int)
-	tdistPass      func(lo, hi int)
-	tvecPass       func(lo, hi int)
-	deletePass     func(lo, hi int)
+	// Normalization: one scale per objective (see objectiveScales), and
+	// truncation's buffer for detecting a scale change.
+	scales    []float64
+	scalesNew []float64
 }
 
 // NewScratch returns an empty scratch; buffers grow on demand and are reused
@@ -146,6 +123,10 @@ func growBools(s []bool, n int) []bool {
 // AssignFitness computes SPEA2 fitness for the union of archive and
 // population points (Section V-B of the paper). The returned Fitness slices
 // alias the scratch and are valid until the next AssignFitness call.
+//
+// Each O(n²) pass is a plain loop in its own function. Written inline in one
+// body, the loops shared the register file and spilled their counters,
+// which measured about 20% slower at n = 80.
 func (s *Scratch) AssignFitness(pts []pareto.Point, cfg Config) Fitness {
 	n := len(pts)
 	s.strength = growInts(s.strength, n)
@@ -156,66 +137,45 @@ func (s *Scratch) AssignFitness(pts []pareto.Point, cfg Config) Fitness {
 	if n == 0 {
 		return f
 	}
-	s.ensurePasses()
-	s.pts = pts
-	s.dim = pointDim(pts)
 	s.dom = growBools(s.dom, n*n)
-	// Dominance + strength: row i owns dom[i*n:(i+1)*n] and Strength[i].
-	s.strengthPass(0, n)
-	// Raw fitness reads every strength, so it must follow the full strength
-	// pass; row i accumulates its dominators' strengths in ascending-j order.
-	s.rawPass(0, n)
-	s.distanceMatrix(pts, cfg)
-	k := cfg.k()
-	if k > n-1 {
-		k = n - 1
-	}
-	s.k = k
-	s.kbuf = growFloats(s.kbuf, n)[:0]
-	// Density: row i reads its completed distance row.
-	s.densityPass(0, n)
-	s.pts = nil
+	s.dist = growFloats(s.dist, n*n)
+	s.kbuf = growFloats(s.kbuf, n)
+	s.scales = objectiveScales(s.scales, pts, nil, nil, cfg.Normalize)
+	strengths(pts, s.dom, f.Strength)
+	rawFitness(s.dom, f.Strength, f.Raw)
+	distances(pts, s.scales, s.dist)
+	densities(s.dist, min(cfg.k(), n-1), s.kbuf, f)
 	return f
 }
 
-// ensurePasses builds the reusable row-pass closures on first use. Each
-// closure captures only the Scratch and reads its per-call state from the
-// pass fields, keeping the steady-state kernels allocation-free.
-func (s *Scratch) ensurePasses() {
-	if s.strengthPass != nil {
-		return
-	}
-	s.strengthPass = func(lo, hi int) {
-		pts, dom := s.pts, s.dom
-		n := len(pts)
-		if s.dim == 2 {
-			// Inlined two-objective dominance: Point.Dominates carries the
-			// extra-axis loop and does not inline, and the outlined call
-			// copies two Points per pair — measurable on this O(n²) kernel.
-			// The comparison structure mirrors Dominates exactly (including
-			// its NaN behaviour).
-			for i := lo; i < hi; i++ {
-				pp, pu := pts[i].Privacy, pts[i].Utility
-				st := 0
-				ri := dom[i*n : (i+1)*n]
-				for j := range ri {
-					q := &pts[j]
-					d := false
-					if i != j && !(pp < q.Privacy || pu > q.Utility) {
-						d = pp > q.Privacy || pu < q.Utility
-					}
-					ri[j] = d
-					if d {
-						st++
-					}
+// strengths fills the flat n×n dom, row i marking the points pts[i]
+// dominates, and strength[i], their count.
+//
+// Two-objective points, the paper's case, run the dominance test written
+// out on Privacy and Utility; it mirrors Point.Dominates exactly, NaN
+// behaviour included. Point.Dominates inlines, but its extra-axis loop made
+// this pass about twice as slow at n = 80, so only points with extra
+// objectives take it. distances and liveDistances make the same split.
+func strengths(pts []pareto.Point, dom []bool, strength []int) {
+	n := len(pts)
+	two := pts[0].Dim() == 2
+	for i := range pts {
+		st := 0
+		ri := dom[i*n : (i+1)*n]
+		if two {
+			pp, pu := pts[i].Privacy, pts[i].Utility
+			for j := range ri {
+				q := &pts[j]
+				d := false
+				if i != j && !(pp < q.Privacy || pu > q.Utility) {
+					d = pp > q.Privacy || pu < q.Utility
 				}
-				s.strength[i] = st
+				ri[j] = d
+				if d {
+					st++
+				}
 			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			st := 0
-			ri := dom[i*n : (i+1)*n]
+		} else {
 			for j := range ri {
 				d := i != j && pts[i].Dominates(pts[j])
 				ri[j] = d
@@ -223,150 +183,84 @@ func (s *Scratch) ensurePasses() {
 					st++
 				}
 			}
-			s.strength[i] = st
 		}
+		strength[i] = st
 	}
-	s.rawPass = func(lo, hi int) {
-		dom := s.dom
-		n := len(s.pts)
-		for i := lo; i < hi; i++ {
-			var raw float64
-			for j := 0; j < n; j++ {
-				if dom[j*n+i] {
-					raw += float64(s.strength[j])
-				}
+}
+
+// rawFitness sets raw[i] to the summed strength of the points dominating i,
+// added in ascending index order.
+func rawFitness(dom []bool, strength []int, raw []float64) {
+	n := len(raw)
+	for i := range raw {
+		var r float64
+		for j := 0; j < n; j++ {
+			if dom[j*n+i] {
+				r += float64(strength[j])
 			}
-			s.raw[i] = raw
 		}
+		raw[i] = r
 	}
-	s.distPass = func(lo, hi int) {
-		pts, d := s.pts, s.dist
-		n := len(pts)
-		if s.dim == 2 {
-			scaleP, scaleU := s.scaleP, s.scaleU
-			for i := lo; i < hi; i++ {
-				d[i*n+i] = 0
-				for j := i + 1; j < n; j++ {
-					dp := (pts[i].Privacy - pts[j].Privacy) * scaleP
-					du := (pts[i].Utility - pts[j].Utility) * scaleU
-					dist := math.Sqrt(dp*dp + du*du)
-					d[i*n+j] = dist
-					d[j*n+i] = dist
-				}
-			}
-			return
-		}
-		scales := s.scales
-		for i := lo; i < hi; i++ {
-			d[i*n+i] = 0
+}
+
+// distances fills the flat n×n dist with the pairwise distances of pts
+// under the per-objective scales; the smaller index of each pair writes
+// both cells.
+func distances(pts []pareto.Point, scales, dist []float64) {
+	n := len(pts)
+	if pts[0].Dim() == 2 {
+		scaleP, scaleU := scales[0], scales[1]
+		for i := range pts {
+			dist[i*n+i] = 0
 			for j := i + 1; j < n; j++ {
-				dist := scaledDistance(pts[i], pts[j], scales)
-				d[i*n+j] = dist
-				d[j*n+i] = dist
+				dp := (pts[i].Privacy - pts[j].Privacy) * scaleP
+				du := (pts[i].Utility - pts[j].Utility) * scaleU
+				d := math.Sqrt(dp*dp + du*du)
+				dist[i*n+j] = d
+				dist[j*n+i] = d
 			}
 		}
+		return
 	}
-	s.densityPass = func(lo, hi int) {
-		n := len(s.pts)
-		k := s.k
-		for i := lo; i < hi; i++ {
-			var sigma float64
-			if n > 1 {
-				row := s.dist[i*n : (i+1)*n]
-				if k == 1 {
-					// σ is the nearest-neighbour distance: a plain minimum,
-					// no sort needed.
-					sigma = math.Inf(1)
-					for j, d := range row {
-						if j != i && d < sigma {
-							sigma = d
-						}
+	for i := range pts {
+		dist[i*n+i] = 0
+		for j := i + 1; j < n; j++ {
+			d := scaledDistance(pts[i], pts[j], scales)
+			dist[i*n+j] = d
+			dist[j*n+i] = d
+		}
+	}
+}
+
+// densities sets f.Density[i] = 1/(σ+2), where σ is the distance from i to
+// its k-th nearest other point, and f.Value[i] = f.Raw[i] + f.Density[i].
+// kbuf holds at least n-1 values.
+func densities(dist []float64, k int, kbuf []float64, f Fitness) {
+	n := len(f.Density)
+	for i := range f.Density {
+		var sigma float64
+		if n > 1 {
+			row := dist[i*n : (i+1)*n]
+			if k == 1 {
+				// A plain minimum, no selection needed.
+				sigma = math.Inf(1)
+				for j, d := range row {
+					if j != i && d < sigma {
+						sigma = d
 					}
-				} else {
-					buf := s.kbuf[:0]
-					for j, d := range row {
-						if j != i {
-							buf = append(buf, d)
-						}
+				}
+			} else {
+				buf := kbuf[:0]
+				for j, d := range row {
+					if j != i {
+						buf = append(buf, d)
 					}
-					sigma = kthSmallest(buf, k)
-					s.kbuf = buf[:0]
 				}
-			}
-			s.density[i] = 1 / (sigma + 2)
-			s.value[i] = s.raw[i] + s.density[i]
-		}
-	}
-	s.tdistPass = func(lo, hi int) {
-		m := len(s.live)
-		if s.dim == 2 {
-			scaleP, scaleU := s.scaleP, s.scaleU
-			for a := lo; a < hi; a++ {
-				if !s.alive[a] {
-					continue
-				}
-				pa := s.pts[s.live[a]]
-				s.tdist[a*m+a] = 0
-				for b := a + 1; b < m; b++ {
-					if !s.alive[b] {
-						continue
-					}
-					pb := s.pts[s.live[b]]
-					dp := (pa.Privacy - pb.Privacy) * scaleP
-					du := (pa.Utility - pb.Utility) * scaleU
-					dist := math.Sqrt(dp*dp + du*du)
-					s.tdist[a*m+b] = dist
-					s.tdist[b*m+a] = dist
-				}
-			}
-			return
-		}
-		scales := s.scales
-		for a := lo; a < hi; a++ {
-			if !s.alive[a] {
-				continue
-			}
-			pa := s.pts[s.live[a]]
-			s.tdist[a*m+a] = 0
-			for b := a + 1; b < m; b++ {
-				if !s.alive[b] {
-					continue
-				}
-				dist := scaledDistance(pa, s.pts[s.live[b]], scales)
-				s.tdist[a*m+b] = dist
-				s.tdist[b*m+a] = dist
+				sigma = kthSmallest(buf, k)
 			}
 		}
-	}
-	s.tvecPass = func(lo, hi int) {
-		m := len(s.live)
-		for a := lo; a < hi; a++ {
-			if !s.alive[a] {
-				continue
-			}
-			row := s.vec[a*m : a*m]
-			for b := 0; b < m; b++ {
-				if b != a && s.alive[b] {
-					row = append(row, s.tdist[a*m+b])
-				}
-			}
-			sort.Float64s(row)
-			s.vecLen[a] = len(row)
-		}
-	}
-	s.deletePass = func(lo, hi int) {
-		m := len(s.live)
-		victim := s.victim
-		for a := lo; a < hi; a++ {
-			if !s.alive[a] {
-				continue
-			}
-			row := s.vec[a*m : a*m+s.vecLen[a]]
-			d := s.tdist[a*m+victim]
-			idx := sort.SearchFloat64s(row, d)
-			copy(row[idx:], row[idx+1:])
-			s.vecLen[a]--
-		}
+		f.Density[i] = 1 / (sigma + 2)
+		f.Value[i] = f.Raw[i] + f.Density[i]
 	}
 }
 
@@ -424,38 +318,9 @@ func kthSmallest(buf []float64, k int) float64 {
 	return buf[target]
 }
 
-// distanceMatrix fills s.dist with the flat n×n pairwise objective-space
-// distances of pts, optionally normalized per objective by the range over
-// pts. For two-objective points the expressions match the historical
-// [][]-based implementation exactly; for k-dim points the same
-// scale-difference-square-sum recurrence runs over every axis. Each
-// unordered pair {i, j} is written (to both symmetric cells) by the row with
-// the smaller index.
-func (s *Scratch) distanceMatrix(pts []pareto.Point, cfg Config) {
-	n := len(pts)
-	s.pts = pts
-	s.dim = pointDim(pts)
-	if s.dim == 2 {
-		s.scaleP, s.scaleU = objectiveScales(pts, cfg)
-	} else {
-		s.scales = s.objectiveScalesK(pts, cfg, s.scales)
-	}
-	s.dist = growFloats(s.dist, n*n)
-	s.distPass(0, n)
-}
-
-// pointDim returns the objective count of a point set; an empty set counts
-// as the canonical two objectives.
-func pointDim(pts []pareto.Point) int {
-	if len(pts) == 0 {
-		return 2
-	}
-	return pts[0].Dim()
-}
-
-// scaledDistance is the k-dim generalization of the inlined two-objective
-// distance expression: per-axis scaled differences, squares summed in axis
-// order, one square root.
+// scaledDistance is the k-dim generalization of the two-objective distance
+// expression: per-axis scaled differences, squares summed in axis order, one
+// square root.
 func scaledDistance(a, b pareto.Point, scales []float64) float64 {
 	var sum float64
 	for t, sc := range scales {
@@ -465,57 +330,49 @@ func scaledDistance(a, b pareto.Point, scales []float64) float64 {
 	return math.Sqrt(sum)
 }
 
-// objectiveScales returns the per-objective normalization factors over pts.
-func objectiveScales(pts []pareto.Point, cfg Config) (scaleP, scaleU float64) {
-	scaleP, scaleU = 1.0, 1.0
-	n := len(pts)
-	if cfg.Normalize && n > 1 {
-		minP, maxP := pts[0].Privacy, pts[0].Privacy
-		minU, maxU := pts[0].Utility, pts[0].Utility
-		for _, p := range pts[1:] {
-			minP = math.Min(minP, p.Privacy)
-			maxP = math.Max(maxP, p.Privacy)
-			minU = math.Min(minU, p.Utility)
-			maxU = math.Max(maxU, p.Utility)
-		}
-		if r := maxP - minP; r > 0 {
-			scaleP = 1 / r
-		}
-		if r := maxU - minU; r > 0 {
-			scaleU = 1 / r
-		}
-	}
-	return scaleP, scaleU
-}
-
-// objectiveScalesK fills dst with the s.dim per-objective normalization
-// factors over pts — the k-dim generalization of objectiveScales, using the
-// same math.Min/math.Max recurrence per axis. dst is grown in place and
-// returned so the caller can persist the buffer.
-func (s *Scratch) objectiveScalesK(pts []pareto.Point, cfg Config, dst []float64) []float64 {
-	dim := s.dim
-	dst = growFloats(dst, dim)
+// objectiveScales fills dst, grown to one entry per objective, with each
+// objective's normalization factor 1/range and returns it. The range is
+// taken over pts, or, when live is non-nil, over pts[live[a]] for every slot
+// a with alive[a] set. A factor is 1 when normalize is off or the range is
+// not positive, which includes a single point. Each range folds math.Min
+// and math.Max over the points in order, the historical two-objective
+// recurrence; seeding the fold with ±Inf is exact, since math.Min(+Inf, v)
+// and math.Max(-Inf, v) are v for every v, NaN included. Privacy and
+// utility are read as fields: through Point.At the call took about 1.5× as
+// long, and truncation makes one call per removal.
+func objectiveScales(dst []float64, pts []pareto.Point, live []int, alive []bool, normalize bool) []float64 {
+	dst = growFloats(dst, pts[0].Dim())
 	for t := range dst {
 		dst[t] = 1
 	}
-	if !cfg.Normalize || len(pts) <= 1 {
+	if !normalize {
 		return dst
 	}
-	lo := growFloats(s.scaleLo, dim)
-	hi := growFloats(s.scaleHi, dim)
-	s.scaleLo, s.scaleHi = lo, hi
-	for t := 0; t < dim; t++ {
-		v := pts[0].At(t)
-		lo[t], hi[t] = v, v
+	var lo, hi [2 + pareto.MaxExtraObjectives]float64
+	for t := range dst {
+		lo[t], hi[t] = math.Inf(1), math.Inf(-1)
 	}
-	for _, p := range pts[1:] {
-		for t := 0; t < dim; t++ {
-			v := p.At(t)
-			lo[t] = math.Min(lo[t], v)
-			hi[t] = math.Max(hi[t], v)
+	slots := len(pts)
+	if live != nil {
+		slots = len(live)
+	}
+	for a := 0; a < slots; a++ {
+		i := a
+		if live != nil {
+			if !alive[a] {
+				continue
+			}
+			i = live[a]
+		}
+		p := &pts[i]
+		lo[0], hi[0] = math.Min(lo[0], p.Privacy), math.Max(hi[0], p.Privacy)
+		lo[1], hi[1] = math.Min(lo[1], p.Utility), math.Max(hi[1], p.Utility)
+		for t := 2; t < len(dst); t++ {
+			v := p.ExtraAt(t - 2)
+			lo[t], hi[t] = math.Min(lo[t], v), math.Max(hi[t], v)
 		}
 	}
-	for t := 0; t < dim; t++ {
+	for t := range dst {
 		if r := hi[t] - lo[t]; r > 0 {
 			dst[t] = 1 / r
 		}
@@ -588,201 +445,145 @@ func SelectEnvironment(pts []pareto.Point, fit Fitness, capacity int, cfg Config
 // distance recomputation). The historical implementation rebuilt and
 // re-sorted everything per removal. The one case that forces a rebuild is a
 // change of the normalization scales — the victim was the sole extremum of
-// an objective — which the loop detects by recomputing the min/max ranges
-// over the survivors.
+// an objective — which the loop detects by recomputing the scales over the
+// survivors.
 func (s *Scratch) truncate(pts []pareto.Point, selected []int, capacity int, cfg Config) []int {
 	m := len(selected)
-	s.live = growInts(s.live, m)
-	copy(s.live, selected)
-	s.alive = growBools(s.alive, m)
-	for i := range s.alive {
-		s.alive[i] = true
+	live := growInts(s.live, m)
+	copy(live, selected)
+	alive := growBools(s.alive, m)
+	for a := range alive {
+		alive[a] = true
 	}
-	count := m
+	tdist := growFloats(s.tdist, m*m)
+	vec := growFloats(s.vec, m*m)
+	vecLen := growInts(s.vecLen, m)
+	s.live, s.alive, s.tdist, s.vec, s.vecLen = live, alive, tdist, vec, vecLen
+	s.scales = objectiveScales(s.scales, pts, live, alive, cfg.Normalize)
 
-	s.tdist = growFloats(s.tdist, m*m)
-	s.vec = growFloats(s.vec, m*m)
-	s.vecLen = growInts(s.vecLen, m)
-
-	s.ensurePasses()
-	s.pts = pts
-	s.dim = pointDim(pts)
-	if s.dim == 2 {
-		s.scaleP, s.scaleU = s.truncScales(pts, cfg)
-	} else {
-		s.scales = s.truncScalesK(pts, cfg, s.scales)
-	}
-	s.truncDistances()
-	s.truncVectors()
-
-	for count > capacity {
-		// Victim: first live slot with the lexicographically smallest
-		// sorted distance vector. Scanning slots in ascending order visits
-		// the survivors in the same order the historical live-list
-		// implementation did.
-		victim := -1
-		for a := 0; a < m; a++ {
-			if !s.alive[a] {
-				continue
-			}
-			if victim < 0 || lexLess(s.vec[a*m:a*m+s.vecLen[a]], s.vec[victim*m:victim*m+s.vecLen[victim]]) {
-				victim = a
-			}
+	for count, rebuild := m, true; count > capacity; {
+		if rebuild {
+			liveDistances(pts, live, alive, s.scales, tdist)
+			sortVectors(alive, tdist, vec, vecLen)
+			rebuild = false
 		}
-		s.alive[victim] = false
+		victim := victimSlot(alive, vec, vecLen)
+		alive[victim] = false
 		count--
 		if count <= capacity {
 			break
 		}
 		if cfg.Normalize {
-			if s.dim == 2 {
-				if p, u := s.truncScales(pts, cfg); p != s.scaleP || u != s.scaleU {
-					// The victim carried an objective extremum: ranges and
-					// therefore all normalized distances changed. Rebuild.
-					s.scaleP, s.scaleU = p, u
-					s.truncDistances()
-					s.truncVectors()
-					continue
-				}
-			} else {
-				s.scalesNew = s.truncScalesK(pts, cfg, s.scalesNew)
-				if !floatsEqual(s.scales, s.scalesNew) {
-					s.scales, s.scalesNew = s.scalesNew, s.scales
-					s.truncDistances()
-					s.truncVectors()
-					continue
-				}
+			s.scalesNew = objectiveScales(s.scalesNew, pts, live, alive, true)
+			if !slices.Equal(s.scales, s.scalesNew) {
+				// The victim carried an objective extremum: the ranges and
+				// so all normalized distances changed.
+				s.scales, s.scalesNew = s.scalesNew, s.scales
+				rebuild = true
+				continue
 			}
 		}
-		// Scales unchanged: drop the victim's distance from every
-		// survivor's sorted vector in place.
-		s.victim = victim
-		s.deletePass(0, m)
+		dropDistance(victim, alive, tdist, vec, vecLen)
 	}
 
-	s.pts = nil
 	out := selected[:0]
-	for a := 0; a < m; a++ {
-		if s.alive[a] {
-			out = append(out, s.live[a])
+	for a, ok := range alive {
+		if ok {
+			out = append(out, live[a])
 		}
 	}
 	s.sel = out
 	return out
 }
 
-// truncScales returns the normalization factors over the currently live
-// subset, with the same min/max recurrence as objectiveScales.
-func (s *Scratch) truncScales(pts []pareto.Point, cfg Config) (scaleP, scaleU float64) {
-	scaleP, scaleU = 1.0, 1.0
-	if !cfg.Normalize {
-		return scaleP, scaleU
-	}
-	first := true
-	var minP, maxP, minU, maxU float64
-	live := 0
-	for a, ok := range s.alive {
-		if !ok {
+// liveDistances fills the flat m×m tdist with the pairwise distances of the
+// live slots under the per-objective scales; slot a holds pts[live[a]].
+// Dead slots' entries are stale and never read. It splits on the objective
+// count like strengths.
+func liveDistances(pts []pareto.Point, live []int, alive []bool, scales, tdist []float64) {
+	m := len(live)
+	two := pts[0].Dim() == 2
+	for a := range live {
+		if !alive[a] {
 			continue
 		}
-		p := pts[s.live[a]]
-		if first {
-			minP, maxP = p.Privacy, p.Privacy
-			minU, maxU = p.Utility, p.Utility
-			first = false
+		pa := &pts[live[a]]
+		tdist[a*m+a] = 0
+		if two {
+			scaleP, scaleU := scales[0], scales[1]
+			for b := a + 1; b < m; b++ {
+				if !alive[b] {
+					continue
+				}
+				pb := &pts[live[b]]
+				dp := (pa.Privacy - pb.Privacy) * scaleP
+				du := (pa.Utility - pb.Utility) * scaleU
+				d := math.Sqrt(dp*dp + du*du)
+				tdist[a*m+b] = d
+				tdist[b*m+a] = d
+			}
 		} else {
-			minP = math.Min(minP, p.Privacy)
-			maxP = math.Max(maxP, p.Privacy)
-			minU = math.Min(minU, p.Utility)
-			maxU = math.Max(maxU, p.Utility)
+			for b := a + 1; b < m; b++ {
+				if !alive[b] {
+					continue
+				}
+				d := scaledDistance(*pa, pts[live[b]], scales)
+				tdist[a*m+b] = d
+				tdist[b*m+a] = d
+			}
 		}
-		live++
 	}
-	if live <= 1 {
-		return scaleP, scaleU
-	}
-	if r := maxP - minP; r > 0 {
-		scaleP = 1 / r
-	}
-	if r := maxU - minU; r > 0 {
-		scaleU = 1 / r
-	}
-	return scaleP, scaleU
 }
 
-// truncScalesK fills dst with the k-dim normalization factors over the
-// currently live subset — the dim > 2 companion of truncScales, with the
-// same min/max recurrence per axis. dst is grown in place and returned.
-func (s *Scratch) truncScalesK(pts []pareto.Point, cfg Config, dst []float64) []float64 {
-	dim := s.dim
-	dst = growFloats(dst, dim)
-	for t := range dst {
-		dst[t] = 1
-	}
-	if !cfg.Normalize {
-		return dst
-	}
-	lo := growFloats(s.scaleLo, dim)
-	hi := growFloats(s.scaleHi, dim)
-	s.scaleLo, s.scaleHi = lo, hi
-	first := true
-	live := 0
-	for a, ok := range s.alive {
-		if !ok {
+// sortVectors sets row a of vec (stride m) to live slot a's ascending
+// distances to the other live slots, and vecLen[a] to their count.
+func sortVectors(alive []bool, tdist, vec []float64, vecLen []int) {
+	m := len(alive)
+	for a := range alive {
+		if !alive[a] {
 			continue
 		}
-		p := pts[s.live[a]]
-		if first {
-			for t := 0; t < dim; t++ {
-				v := p.At(t)
-				lo[t], hi[t] = v, v
-			}
-			first = false
-		} else {
-			for t := 0; t < dim; t++ {
-				v := p.At(t)
-				lo[t] = math.Min(lo[t], v)
-				hi[t] = math.Max(hi[t], v)
+		row := vec[a*m : a*m]
+		for b, ok := range alive {
+			if ok && b != a {
+				row = append(row, tdist[a*m+b])
 			}
 		}
-		live++
+		sort.Float64s(row)
+		vecLen[a] = len(row)
 	}
-	if live <= 1 {
-		return dst
-	}
-	for t := 0; t < dim; t++ {
-		if r := hi[t] - lo[t]; r > 0 {
-			dst[t] = 1 / r
+}
+
+// victimSlot returns the first live slot with the lexicographically
+// smallest sorted distance vector. Scanning slots in ascending order visits
+// the survivors in the order the historical live-list implementation did.
+func victimSlot(alive []bool, vec []float64, vecLen []int) int {
+	m := len(alive)
+	victim := -1
+	for a := range alive {
+		if !alive[a] {
+			continue
+		}
+		if victim < 0 || lexLess(vec[a*m:a*m+vecLen[a]], vec[victim*m:victim*m+vecLen[victim]]) {
+			victim = a
 		}
 	}
-	return dst
+	return victim
 }
 
-// floatsEqual reports element-wise equality of two equal-length slices.
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// dropDistance deletes the victim's distance from every live slot's sorted
+// vector in place: a binary search and an ordered shift, no re-sort.
+func dropDistance(victim int, alive []bool, tdist, vec []float64, vecLen []int) {
+	m := len(alive)
+	for a := range alive {
+		if !alive[a] {
+			continue
 		}
+		row := vec[a*m : a*m+vecLen[a]]
+		i := sort.SearchFloat64s(row, tdist[a*m+victim])
+		copy(row[i:], row[i+1:])
+		vecLen[a]--
 	}
-	return true
-}
-
-// truncDistances fills s.tdist with pairwise distances over the live slots
-// under the scales in s.scaleP/s.scaleU. Dead slots are skipped; their
-// entries are stale and must not be read.
-func (s *Scratch) truncDistances() {
-	s.tdistPass(0, len(s.live))
-}
-
-// truncVectors rebuilds every live slot's sorted distance vector from
-// s.tdist — the per-row nearest-neighbour recomputation after a scale
-// change.
-func (s *Scratch) truncVectors() {
-	s.tvecPass(0, len(s.live))
 }
 
 // lexLess reports whether distance vector a is lexicographically smaller
@@ -810,14 +611,4 @@ func BinaryTournament(fit Fitness, r *randx.Source) int {
 		return b
 	}
 	return a
-}
-
-// FillMatingPool returns size indices selected by repeated binary
-// tournaments.
-func FillMatingPool(fit Fitness, size int, r *randx.Source) []int {
-	out := make([]int, size)
-	for i := range out {
-		out[i] = BinaryTournament(fit, r)
-	}
-	return out
 }

@@ -15,7 +15,8 @@ import (
 // on the rewrite being bit-for-bit identical, so every comparison here is
 // exact equality, not tolerance-based.
 
-// refAssignFitness is the pre-scratch AssignFitness, verbatim.
+// refAssignFitness is the pre-scratch AssignFitness, verbatim except that
+// points with more than two objectives take the per-axis reference distance.
 func refAssignFitness(pts []pareto.Point, cfg Config) Fitness {
 	n := len(pts)
 	f := Fitness{
@@ -44,7 +45,7 @@ func refAssignFitness(pts []pareto.Point, cfg Config) Fitness {
 			}
 		}
 	}
-	d := refDistanceMatrix(pts, cfg)
+	d := refDistances(pts, cfg)
 	k := cfg.k()
 	if k > n-1 {
 		k = n - 1
@@ -104,6 +105,56 @@ func refDistanceMatrix(pts []pareto.Point, cfg Config) [][]float64 {
 	return d
 }
 
+// refDistances picks the reference distance matrix for a non-empty point
+// set: the historical two-objective code, or the per-axis reference when the
+// points carry extra objectives.
+func refDistances(pts []pareto.Point, cfg Config) [][]float64 {
+	if pts[0].Dim() > 2 {
+		return refDistanceMatrixK(pts, cfg)
+	}
+	return refDistanceMatrix(pts, cfg)
+}
+
+// refDistanceMatrixK is the reference distance for three or more objectives,
+// written independently of the scratch kernels: every objective is scaled by
+// 1/range over pts (1 when normalization is off, when there is a single
+// point, or when the range is not positive), and a pair's distance is one
+// square root of its scaled differences' squares summed in axis order.
+func refDistanceMatrixK(pts []pareto.Point, cfg Config) [][]float64 {
+	n := len(pts)
+	scales := make([]float64, pts[0].Dim())
+	for t := range scales {
+		scales[t] = 1
+		if !cfg.Normalize || n < 2 {
+			continue
+		}
+		lo, hi := pts[0].At(t), pts[0].At(t)
+		for _, p := range pts[1:] {
+			lo = math.Min(lo, p.At(t))
+			hi = math.Max(hi, p.At(t))
+		}
+		if r := hi - lo; r > 0 {
+			scales[t] = 1 / r
+		}
+	}
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			var sum float64
+			for t, sc := range scales {
+				diff := (pts[i].At(t) - pts[j].At(t)) * sc
+				sum += diff * diff
+			}
+			d[i][j] = math.Sqrt(sum)
+			d[j][i] = d[i][j]
+		}
+	}
+	return d
+}
+
 // refSelectEnvironment is the pre-scratch SelectEnvironment, verbatim.
 func refSelectEnvironment(pts []pareto.Point, fit Fitness, capacity int, cfg Config) ([]int, error) {
 	if capacity <= 0 {
@@ -136,8 +187,9 @@ func refSelectEnvironment(pts []pareto.Point, fit Fitness, capacity int, cfg Con
 	}
 }
 
-// refTruncate is the pre-scratch truncate, verbatim: it rebuilds the
-// distance matrix and re-sorts every distance vector per removal.
+// refTruncate is the pre-scratch truncate, verbatim except for the same
+// per-axis distance above two objectives: it rebuilds the distance matrix and
+// re-sorts every distance vector per removal.
 func refTruncate(pts []pareto.Point, selected []int, capacity int, cfg Config) []int {
 	live := append([]int(nil), selected...)
 	for len(live) > capacity {
@@ -145,7 +197,7 @@ func refTruncate(pts []pareto.Point, selected []int, capacity int, cfg Config) [
 		for k, idx := range live {
 			sub[k] = pts[idx]
 		}
-		d := refDistanceMatrix(sub, cfg)
+		d := refDistances(sub, cfg)
 		vecs := make([][]float64, len(live))
 		for i := range live {
 			v := make([]float64, 0, len(live)-1)
@@ -199,6 +251,45 @@ func randomClouds(r *randx.Source, count int) [][]pareto.Point {
 	return clouds
 }
 
+// randomCloudsK is randomClouds for three to six objectives: uniform clouds
+// whose extra objectives sit on scales orders of magnitude apart, clusters
+// with exact duplicates, and clouds whose first extra objective is constant
+// (zero range).
+func randomCloudsK(r *randx.Source, count int) [][]pareto.Point {
+	var clouds [][]pareto.Point
+	for c := 0; c < count; c++ {
+		n := 2 + r.Intn(70)
+		extras := make([]float64, 1+r.Intn(pareto.MaxExtraObjectives))
+		pts := make([]pareto.Point, n)
+		for i := range pts {
+			switch c % 3 {
+			case 0: // uniform, wildly different objective scales
+				for t := range extras {
+					extras[t] = r.Float64() * math.Pow(10, float64(t))
+				}
+				pts[i] = pareto.NewPoint(r.Float64(), r.Float64()*1e-4, extras...)
+			case 1: // clusters with duplicates
+				for t := range extras {
+					extras[t] = float64(r.Intn(2)) * 0.5
+				}
+				privacy := float64(r.Intn(4)) * 0.2
+				if r.Float64() < 0.5 {
+					privacy += r.Float64() * 1e-9
+				}
+				pts[i] = pareto.NewPoint(privacy, float64(r.Intn(4))*1e-5, extras...)
+			default: // constant first extra objective
+				for t := range extras {
+					extras[t] = r.Float64()
+				}
+				extras[0] = 0.5
+				pts[i] = pareto.NewPoint(r.Float64(), r.Float64()*1e-4, extras...)
+			}
+		}
+		clouds = append(clouds, pts)
+	}
+	return clouds
+}
+
 // configsUnderTest varies the density estimate and normalization; every
 // configuration is checked for exact equality against the reference
 // arithmetic.
@@ -215,7 +306,7 @@ func configsUnderTest() []Config {
 func TestScratchAssignFitnessMatchesReference(t *testing.T) {
 	r := randx.New(11)
 	s := NewScratch()
-	for _, pts := range randomClouds(r, 60) {
+	for _, pts := range append(randomClouds(r, 60), randomCloudsK(r, 30)...) {
 		for _, cfg := range configsUnderTest() {
 			want := refAssignFitness(pts, cfg)
 			got := s.AssignFitness(pts, cfg)
@@ -243,7 +334,7 @@ func TestScratchAssignFitnessMatchesReference(t *testing.T) {
 func TestScratchSelectEnvironmentMatchesReference(t *testing.T) {
 	r := randx.New(13)
 	s := NewScratch()
-	for _, pts := range randomClouds(r, 60) {
+	for _, pts := range append(randomClouds(r, 60), randomCloudsK(r, 30)...) {
 		for _, cfg := range configsUnderTest() {
 			fit := refAssignFitness(pts, cfg)
 			for _, capacity := range []int{1, 2, len(pts) / 2, len(pts) - 1, len(pts), len(pts) + 5} {

@@ -316,19 +316,6 @@ func TestBinaryTournamentPanicsEmpty(t *testing.T) {
 	BinaryTournament(Fitness{}, randx.New(1))
 }
 
-func TestFillMatingPool(t *testing.T) {
-	fit := Fitness{Value: []float64{1, 2, 3}}
-	pool := FillMatingPool(fit, 7, randx.New(2))
-	if len(pool) != 7 {
-		t.Fatalf("pool size = %d, want 7", len(pool))
-	}
-	for _, i := range pool {
-		if i < 0 || i >= 3 {
-			t.Fatalf("pool index %d out of range", i)
-		}
-	}
-}
-
 func TestNormalizationMattersForScaleImbalance(t *testing.T) {
 	// Objectives on wildly different scales (privacy ~1, utility ~1e-4,
 	// like the paper's). Without normalization the density estimate

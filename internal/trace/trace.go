@@ -146,8 +146,8 @@ type Summary struct {
 
 // phaseFields maps the optimizer.generation timing fields onto display
 // names, in presentation order. select/vary/eval/omega partition the
-// generation timeline; fitness/truncate are parallel-kernel sub-phases that
-// overlap select and vary (see core's observability seam), listed after.
+// generation timeline; fitness/truncate are SPEA2 sub-phases that overlap
+// select and vary (see core's observability seam), listed after.
 var phaseFields = []struct{ field, name string }{
 	{"select_ms", "select"},
 	{"vary_ms", "vary"},
