@@ -42,10 +42,12 @@
 #                  path reads as the same scheme, version and z) and on the
 #                  rrapi batch-body codec (every body it accepts,
 #                  encoding/json reads as the same reports; its encoding
-#                  equals json.Marshal and round-trips), and on SPEA2
+#                  equals json.Marshal and round-trips), on SPEA2
 #                  fitness assignment over 2–6 objectives (a warm Scratch
 #                  equals a fresh one and the reference implementation bit
-#                  for bit)
+#                  for bit), and on the Kronecker contraction kernels
+#                  (MulVecInto and the fused sum/max product equal the
+#                  row-axpy oracle bit for bit for 1–4 factors of size 1–7)
 #   results        the whole paper reproduction: cmd/experiments at its
 #                  default budget (about 40 s) regenerates every CSV into a
 #                  temporary directory, every shape check must pass, and the
@@ -121,13 +123,14 @@ echo "== go test -race (parallel paths) =="
 go test -race -run 'Parallel|Grid|Batch|Stream|Tuple' \
     ./internal/experiments ./internal/dataset ./internal/mining
 
-echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, scheme body, batch codec, SPEA2 fitness) =="
+echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, scheme body, batch codec, SPEA2 fitness, Kronecker contraction) =="
 go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 5s ./internal/sketch
 go test -run '^$' -fuzz '^FuzzUnmarshalScheme$' -fuzztime 5s ./internal/sketch
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 5s ./internal/collector
 go test -run '^$' -fuzz '^FuzzDecodeSchemeResponse$' -fuzztime 5s ./internal/rrapi
 go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 5s ./internal/rrapi
 go test -run '^$' -fuzz '^FuzzAssignFitnessKDim$' -fuzztime 5s ./internal/emoo
+go test -run '^$' -fuzz '^FuzzKronContract$' -fuzztime 5s ./internal/matrix
 
 echo "== results (paper reproduction, byte for byte) =="
 repro=$(mktemp -d)

@@ -253,16 +253,26 @@ func (p *multiProblem) initialPopulation(size int, r *randx.Source) []tuple {
 	return out
 }
 
-// realizeGenome materializes the tuple, repairs the record-level bound,
-// re-materializes the repaired tuple and evaluates it.
+// realizeGenome materializes the tuple and evaluates it within the
+// record-level bound, which costs one posterior sweep when the tuple meets
+// the bound. A tuple that misses it is repaired, re-materialized and
+// evaluated; a singular one that meets it is rejected.
 func (p *multiProblem) realizeGenome(t tuple, w int) (individual[tuple], genomeOutcome) {
 	sc := p.scratch[w]
-	if !materializeTuple(sc.mats, t) || !meetJointBound(t, sc, p.cfg) || !materializeTuple(sc.mats, t) {
+	if !materializeTuple(sc.mats, t) {
 		return individual[tuple]{}, genomeOutcome{}
 	}
-	ev, err := sc.jws.Evaluate(sc.mats, p.cfg.Joint, p.cfg.Records)
+	ev, ok, err := sc.jws.EvaluateWithin(sc.mats, p.cfg.Joint, p.cfg.Records, p.cfg.Delta)
 	if err != nil {
 		return individual[tuple]{}, genomeOutcome{}
+	}
+	if !ok {
+		if !meetJointBound(t, sc, p.cfg) || !materializeTuple(sc.mats, t) {
+			return individual[tuple]{}, genomeOutcome{}
+		}
+		if ev, err = sc.jws.Evaluate(sc.mats, p.cfg.Joint, p.cfg.Records); err != nil {
+			return individual[tuple]{}, genomeOutcome{}
+		}
 	}
 	return individual[tuple]{Genome: t, Eval: ev}, genomeOutcome{ok: true}
 }
@@ -320,18 +330,17 @@ func materializeTuple(ms []*rr.Matrix, gs []Genome) bool {
 	return true
 }
 
-// meetJointBound enforces the record-level posterior bound: per-attribute
-// slack repair cannot target a joint posterior, so the repair blends every
-// attribute's genome toward its uniform matrix by a common factor found by
-// bisection (at factor 1 the joint posteriors equal the joint prior, whose
-// mode is below delta by Validate). Every posterior probe runs on the
-// worker's factored workspace — two mode contractions and a sweep, no joint
+// meetJointBound repairs a tuple that misses the record-level posterior
+// bound, which its caller has already found: per-attribute slack repair
+// cannot target a joint posterior, so the repair blends every attribute's
+// genome toward its uniform matrix, in place, by the smallest common factor
+// bisection finds (at factor 1 the joint posteriors equal the joint prior,
+// whose mode is below delta by Validate). Every posterior probe runs on the
+// worker's factored workspace — one fused contraction and a sweep, no joint
 // channel and no inverse — so the ~30 bisection probes per infeasible child
-// stay off the allocator entirely. sc.mats must hold the materialized gs.
+// stay off the allocator entirely. It reports false when even the uniform
+// blend misses the bound.
 func meetJointBound(gs []Genome, sc *multiScratch, cfg MultiConfig) bool {
-	if mp, err := sc.jws.MaxPosterior(sc.mats, cfg.Joint); err == nil && mp <= cfg.Delta+1e-12 {
-		return true
-	}
 	worst := func(t float64) float64 {
 		for d, g := range gs {
 			n := g.N()

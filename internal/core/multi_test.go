@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"optrr/internal/metrics"
+	"optrr/internal/randx"
 	"optrr/internal/rr"
 )
 
@@ -244,6 +246,142 @@ func TestMeetJointBoundBlends(t *testing.T) {
 	}
 	if mp > cfg.Delta+1e-9 {
 		t.Fatalf("joint repair left posterior %v above %v", mp, cfg.Delta)
+	}
+}
+
+// realizeOracle is realizeGenome as it was before EvaluateWithin: it
+// materializes the tuple, checks the record-level bound and repairs a miss,
+// materializes the tuple again and evaluates it. realizeGenome must match it
+// in outcome, repaired genomes and evaluation, bit for bit.
+func realizeOracle(t tuple, sc *multiScratch, cfg MultiConfig) (metrics.Evaluation, bool) {
+	if !materializeTuple(sc.mats, t) {
+		return metrics.Evaluation{}, false
+	}
+	if mp, err := sc.jws.MaxPosterior(sc.mats, cfg.Joint); err != nil || mp > cfg.Delta+1e-12 {
+		if !meetJointBound(t, sc, cfg) {
+			return metrics.Evaluation{}, false
+		}
+	}
+	if !materializeTuple(sc.mats, t) {
+		return metrics.Evaluation{}, false
+	}
+	ev, err := sc.jws.Evaluate(sc.mats, cfg.Joint, cfg.Records)
+	if err != nil {
+		return metrics.Evaluation{}, false
+	}
+	return ev, true
+}
+
+// checkRealizeMatchesOracle realizes clones of t through realizeGenome and
+// realizeOracle on separate scratches and fails unless the outcomes, the
+// repaired genomes and the evaluations agree bit for bit. It returns the
+// outcome and whether realizing changed the genomes (a repair ran).
+func checkRealizeMatchesOracle(t *testing.T, label string, p *multiProblem, oracle *multiScratch, gs tuple) (ok, repaired bool) {
+	t.Helper()
+	got, want := gs.Clone(), gs.Clone()
+	ind, outcome := p.realizeGenome(got, 0)
+	ev, wantOK := realizeOracle(want, oracle, p.cfg)
+	if outcome.ok != wantOK {
+		t.Fatalf("%s: realizeGenome ok = %v, oracle %v", label, outcome.ok, wantOK)
+	}
+	for d := range want {
+		for i, col := range want[d] {
+			for j, v := range col {
+				if math.Float64bits(got[d][i][j]) != math.Float64bits(v) {
+					t.Fatalf("%s: genome[%d][%d][%d] = %v, oracle %v", label, d, i, j, got[d][i][j], v)
+				}
+				if v != gs[d][i][j] {
+					repaired = true
+				}
+			}
+		}
+	}
+	if wantOK {
+		if math.Float64bits(ind.Eval.Privacy) != math.Float64bits(ev.Privacy) ||
+			math.Float64bits(ind.Eval.Utility) != math.Float64bits(ev.Utility) ||
+			math.Float64bits(ind.Eval.MaxPosterior) != math.Float64bits(ev.MaxPosterior) ||
+			len(ind.Eval.Extra) != 0 || len(ev.Extra) != 0 {
+			t.Fatalf("%s: realizeGenome eval %+v, oracle %+v", label, ind.Eval, ev)
+		}
+	}
+	return wantOK, repaired
+}
+
+// multiRealizeProblem returns a one-worker problem over search-multi's
+// 4·5·6 shape with a random joint whose mode is far below 0.4, together
+// with a separate scratch for the oracle.
+func multiRealizeProblem(delta float64) (*multiProblem, *multiScratch) {
+	sizes := []int{4, 5, 6}
+	r := randx.New(71)
+	joint := make([]float64, 120)
+	var sum float64
+	for i := range joint {
+		joint[i] = r.Float64() + 0.1
+		sum += joint[i]
+	}
+	for i := range joint {
+		joint[i] /= sum
+	}
+	cfg := MultiConfig{Joint: joint, Sizes: sizes, Records: 10000, Delta: delta}
+	return &multiProblem{cfg: cfg, scratch: []*multiScratch{newMultiScratch(sizes)}}, newMultiScratch(sizes)
+}
+
+// TestRealizeGenomeMatchesOracle runs 500 random tuples per bound through
+// both realize paths. A third of the tuples are flat-Dirichlet, a third mix
+// those with constant diagonals over their whole range, and a third are
+// sharp diagonals, so every bound sees tuples that meet it outright and
+// tuples that need repair.
+func TestRealizeGenomeMatchesOracle(t *testing.T) {
+	for _, delta := range []float64{0.4, 0.6, 0.9} {
+		p, oracle := multiRealizeProblem(delta)
+		r := randx.New(73)
+		var met, repaired, rejected int
+		for trial := 0; trial < 500; trial++ {
+			gs := p.randomGenome(r)
+			for d, n := range p.cfg.Sizes {
+				switch {
+				case trial%3 == 1 && r.Intn(2) == 0:
+					gs[d] = diagonalGenome(n, 1/float64(n)+(1-1/float64(n))*r.Float64())
+				case trial%3 == 2:
+					gs[d] = diagonalGenome(n, 0.85+0.15*r.Float64())
+				}
+			}
+			ok, changed := checkRealizeMatchesOracle(t, fmt.Sprintf("delta %v trial %d", delta, trial), p, oracle, gs)
+			switch {
+			case !ok:
+				rejected++
+			case changed:
+				repaired++
+			default:
+				met++
+			}
+		}
+		t.Logf("delta %v: %d met the bound, %d repaired, %d rejected", delta, met, repaired, rejected)
+		if met == 0 || repaired == 0 {
+			t.Fatalf("delta %v: %d met the bound and %d were repaired; both branches must run", delta, met, repaired)
+		}
+	}
+}
+
+// TestRealizeGenomeSingularTuples covers the two singular branches: a
+// singular tuple that meets the bound is rejected untouched, and one that
+// misses it is repaired (blending toward uniform keeps it singular) and then
+// rejected by its evaluation.
+func TestRealizeGenomeSingularTuples(t *testing.T) {
+	p, oracle := multiRealizeProblem(0.6)
+	uniform := func(n int) Genome { return diagonalGenome(n, 1/float64(n)) }
+	// Every attribute totally random: the posteriors equal the joint prior.
+	meets := tuple{uniform(4), uniform(5), uniform(6)}
+	if ok, changed := checkRealizeMatchesOracle(t, "singular, meets", p, oracle, meets); ok || changed {
+		t.Fatalf("singular tuple that meets the bound: ok %v, repaired %v; want rejected untouched", ok, changed)
+	}
+	// Attribute 0 reports categories 0 and 1 alike; the others are nearly
+	// deterministic, so some record posteriors are close to 1.
+	merged := diagonalGenome(4, 0.97)
+	merged[1] = append([]float64(nil), merged[0]...)
+	misses := tuple{merged, diagonalGenome(5, 0.97), diagonalGenome(6, 0.97)}
+	if ok, changed := checkRealizeMatchesOracle(t, "singular, misses", p, oracle, misses); ok || !changed {
+		t.Fatalf("singular tuple that misses the bound: ok %v, repaired %v; want repaired, then rejected", ok, changed)
 	}
 }
 

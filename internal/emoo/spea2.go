@@ -89,10 +89,12 @@ type Scratch struct {
 	vec    []float64 // per-slot sorted distance vectors, stride m
 	vecLen []int
 
-	// Normalization: one scale per objective (see objectiveScales), and
-	// truncation's buffer for detecting a scale change.
+	// Normalization: one scale per objective (see objectiveScales), the
+	// ranges they were last computed from, and truncation's buffer for
+	// detecting a scale change.
 	scales    []float64
 	scalesNew []float64
+	ranges    objectiveRanges
 }
 
 // NewScratch returns an empty scratch; buffers grow on demand and are reused
@@ -140,7 +142,7 @@ func (s *Scratch) AssignFitness(pts []pareto.Point, cfg Config) Fitness {
 	s.dom = growBools(s.dom, n*n)
 	s.dist = growFloats(s.dist, n*n)
 	s.kbuf = growFloats(s.kbuf, n)
-	s.scales = objectiveScales(s.scales, pts, nil, nil, cfg.Normalize)
+	s.scales = objectiveScales(s.scales, &s.ranges, pts, nil, nil, cfg.Normalize)
 	strengths(pts, s.dom, f.Strength)
 	rawFitness(s.dom, f.Strength, f.Raw)
 	distances(pts, s.scales, s.dist)
@@ -331,16 +333,12 @@ func scaledDistance(a, b pareto.Point, scales []float64) float64 {
 }
 
 // objectiveScales fills dst, grown to one entry per objective, with each
-// objective's normalization factor 1/range and returns it. The range is
-// taken over pts, or, when live is non-nil, over pts[live[a]] for every slot
-// a with alive[a] set. A factor is 1 when normalize is off or the range is
-// not positive, which includes a single point. Each range folds math.Min
-// and math.Max over the points in order, the historical two-objective
-// recurrence; seeding the fold with ±Inf is exact, since math.Min(+Inf, v)
-// and math.Max(-Inf, v) are v for every v, NaN included. Privacy and
-// utility are read as fields: through Point.At the call took about 1.5× as
-// long, and truncation makes one call per removal.
-func objectiveScales(dst []float64, pts []pareto.Point, live []int, alive []bool, normalize bool) []float64 {
+// objective's normalization factor 1/range and returns it. When normalize
+// is on, it first folds r over pts, or, when live is non-nil, over
+// pts[live[a]] for every slot a with alive[a] set. A factor is 1 when
+// normalize is off or the range is not positive, which includes a single
+// point.
+func objectiveScales(dst []float64, r *objectiveRanges, pts []pareto.Point, live []int, alive []bool, normalize bool) []float64 {
 	dst = growFloats(dst, pts[0].Dim())
 	for t := range dst {
 		dst[t] = 1
@@ -348,8 +346,30 @@ func objectiveScales(dst []float64, pts []pareto.Point, live []int, alive []bool
 	if !normalize {
 		return dst
 	}
-	var lo, hi [2 + pareto.MaxExtraObjectives]float64
+	r.fold(pts, live, alive, len(dst))
 	for t := range dst {
+		if w := r.hi[t] - r.lo[t]; w > 0 {
+			dst[t] = 1 / w
+		}
+	}
+	return dst
+}
+
+// objectiveRanges holds each objective's [lo, hi] range over a point set.
+type objectiveRanges struct {
+	lo, hi [2 + pareto.MaxExtraObjectives]float64
+}
+
+// fold sets the first dim ranges over pts, or, when live is non-nil, over
+// pts[live[a]] for every slot a with alive[a] set. Each range folds
+// math.Min and math.Max over the points in order, the historical
+// two-objective recurrence; seeding the fold with ±Inf is exact, since
+// math.Min(+Inf, v) and math.Max(-Inf, v) are v for every v, NaN included.
+// Privacy and utility are read as fields: through Point.At the call took
+// about 1.5× as long.
+func (r *objectiveRanges) fold(pts []pareto.Point, live []int, alive []bool, dim int) {
+	lo, hi := &r.lo, &r.hi
+	for t := 0; t < dim; t++ {
 		lo[t], hi[t] = math.Inf(1), math.Inf(-1)
 	}
 	slots := len(pts)
@@ -367,17 +387,27 @@ func objectiveScales(dst []float64, pts []pareto.Point, live []int, alive []bool
 		p := &pts[i]
 		lo[0], hi[0] = math.Min(lo[0], p.Privacy), math.Max(hi[0], p.Privacy)
 		lo[1], hi[1] = math.Min(lo[1], p.Utility), math.Max(hi[1], p.Utility)
-		for t := 2; t < len(dst); t++ {
+		for t := 2; t < dim; t++ {
 			v := p.ExtraAt(t - 2)
 			lo[t], hi[t] = math.Min(lo[t], v), math.Max(hi[t], v)
 		}
 	}
-	for t := range dst {
-		if r := hi[t] - lo[t]; r > 0 {
-			dst[t] = 1 / r
+}
+
+// interior reports whether p lies strictly inside each of the first dim
+// ranges. Removing such a point from the folded set leaves every range,
+// and so every scale, as it is; a NaN coordinate or range is never
+// interior.
+func (r *objectiveRanges) interior(p *pareto.Point, dim int) bool {
+	if !(r.lo[0] < p.Privacy && p.Privacy < r.hi[0] && r.lo[1] < p.Utility && p.Utility < r.hi[1]) {
+		return false
+	}
+	for t := 2; t < dim; t++ {
+		if v := p.ExtraAt(t - 2); !(r.lo[t] < v && v < r.hi[t]) {
+			return false
 		}
 	}
-	return dst
+	return true
 }
 
 // SelectEnvironment performs SPEA2 environmental selection (Section V-C):
@@ -446,7 +476,8 @@ func SelectEnvironment(pts []pareto.Point, fit Fitness, capacity int, cfg Config
 // re-sorted everything per removal. The one case that forces a rebuild is a
 // change of the normalization scales — the victim was the sole extremum of
 // an objective — which the loop detects by recomputing the scales over the
-// survivors.
+// survivors. A victim strictly inside every objective's range cannot move
+// a range, so the recompute is skipped for it.
 func (s *Scratch) truncate(pts []pareto.Point, selected []int, capacity int, cfg Config) []int {
 	m := len(selected)
 	live := growInts(s.live, m)
@@ -459,7 +490,7 @@ func (s *Scratch) truncate(pts []pareto.Point, selected []int, capacity int, cfg
 	vec := growFloats(s.vec, m*m)
 	vecLen := growInts(s.vecLen, m)
 	s.live, s.alive, s.tdist, s.vec, s.vecLen = live, alive, tdist, vec, vecLen
-	s.scales = objectiveScales(s.scales, pts, live, alive, cfg.Normalize)
+	s.scales = objectiveScales(s.scales, &s.ranges, pts, live, alive, cfg.Normalize)
 
 	for count, rebuild := m, true; count > capacity; {
 		if rebuild {
@@ -473,8 +504,8 @@ func (s *Scratch) truncate(pts []pareto.Point, selected []int, capacity int, cfg
 		if count <= capacity {
 			break
 		}
-		if cfg.Normalize {
-			s.scalesNew = objectiveScales(s.scalesNew, pts, live, alive, true)
+		if cfg.Normalize && !s.ranges.interior(&pts[live[victim]], len(s.scales)) {
+			s.scalesNew = objectiveScales(s.scalesNew, &s.ranges, pts, live, alive, true)
 			if !slices.Equal(s.scales, s.scalesNew) {
 				// The victim carried an objective extremum: the ranges and
 				// so all normalized distances changed.

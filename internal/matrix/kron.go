@@ -10,7 +10,9 @@ import (
 // i = ((i_0·n_1 + i_1)·n_2 + …), matching the repository-wide multi-attribute
 // convention). The matrix is never materialized; every operation works on the
 // small factors, so storage is Σn_d² instead of N² and a matrix-vector apply
-// costs O(N·Σn_d) instead of O(N²).
+// costs O(N·Σn_d) instead of O(N²). SumMaxMulVecInto applies the matrix over
+// the sum and the (max, ×) semirings in one pass, the pair a MAP posterior
+// sweep needs.
 //
 // A Kron either aliases caller-owned factors (NewKron, Reset) or owns its
 // storage (KronZeros — the destination form for InverseInto and SquareInto).
@@ -130,75 +132,134 @@ func (k *Kron) checkVecs(dst, src, tmp []float64) error {
 // total of O(N·Σn_d) instead of the O(N²) dense product. tmp is caller
 // scratch of length N; dst, src and tmp must not alias each other. src is
 // left unchanged.
+//
+// Every output entry is accumulated from 0 in ascending factor-column order,
+// skipping zero factor entries, whichever kernel a mode runs: a mode with
+// inner stride 1 takes one dot product per output entry, every other mode
+// adds scaled input rows into its output row.
 func (k *Kron) MulVecInto(dst, src, tmp []float64) error {
-	return k.contract(dst, src, tmp, false)
-}
-
-// MaxMulVecInto is MulVecInto over the (max, ×) semiring: it computes
-// dst[i] = max_j (⊗F)[i][j]·src[j] in O(N·Σn_d). It requires every factor
-// entry and every src entry to be non-negative — max then commutes through
-// the per-factor products, which is what lets the row-wise maxima of a
-// Kronecker product factor mode by mode (this is how the MAP adversary's
-// accuracy is computed without materializing the joint channel). Aliasing
-// rules match MulVecInto.
-func (k *Kron) MaxMulVecInto(dst, src, tmp []float64) error {
-	return k.contract(dst, src, tmp, true)
-}
-
-// contract runs the mode-by-mode contraction. The ping-pong between dst and
-// tmp is phased so the final mode always lands in dst.
-func (k *Kron) contract(dst, src, tmp []float64, maxMode bool) error {
 	if err := k.checkVecs(dst, src, tmp); err != nil {
 		return err
 	}
-	nd := len(k.factors)
-	cur := src
-	// Alternate targets so that mode nd-1 writes into dst.
-	a, b := dst, tmp
-	if nd%2 == 0 {
-		a, b = tmp, dst
-	}
 	inner := k.size
-	for d := 0; d < nd; d++ {
+	cur := src
+	for d, f := range k.factors {
 		n := k.dims[d]
 		inner /= n
-		out := a
-		if d%2 == 1 {
-			out = b
+		out := k.modeTarget(d, dst, tmp)
+		if inner == 1 {
+			dotMode(out, cur, f.data, n)
+		} else {
+			axpyMode(out, cur, f.data, n, inner)
 		}
-		contractMode(out, cur, k.factors[d], k.size, n, inner, maxMode)
 		cur = out
 	}
 	return nil
 }
 
-// contractMode applies an n×n factor along one axis of a flat tensor of
-// total length size with the given inner stride (product of the sizes of the
-// faster-varying axes). With maxMode, sums become maxima; the accumulator
-// starts at 0, which is only correct because all terms are non-negative.
-func contractMode(dst, src []float64, f *Dense, size, n, inner int, maxMode bool) {
+// SumMaxMulVecInto runs two contractions of the same src in one pass over
+// the factors: sum = (⊗F)·src, as MulVecInto computes it, and
+// rowMax[i] = max_j (⊗F)[i][j]·src[j], the same contraction over the
+// (max, ×) semiring. The max chain requires every factor entry and every
+// src entry to be non-negative — max then commutes through the per-factor
+// products, which is what lets the row-wise maxima of a Kronecker product
+// factor mode by mode (this is how the MAP adversary's accuracy is computed
+// without materializing the joint channel); each maximum starts from 0.
+// sumTmp and maxTmp are caller scratch of length N, and no two of the five
+// vectors may alias. sum is bit for bit what MulVecInto writes.
+func (k *Kron) SumMaxMulVecInto(sum, rowMax, src, sumTmp, maxTmp []float64) error {
+	if err := k.checkVecs(sum, src, sumTmp); err != nil {
+		return err
+	}
+	if err := k.checkVecs(rowMax, src, maxTmp); err != nil {
+		return err
+	}
+	inner := k.size
+	curS, curM := src, src
+	for d, f := range k.factors {
+		n := k.dims[d]
+		inner /= n
+		outS, outM := k.modeTarget(d, sum, sumTmp), k.modeTarget(d, rowMax, maxTmp)
+		if inner == 1 {
+			dotSumMaxMode(outS, outM, curS, curM, f.data, n)
+		} else {
+			axpySumMaxMode(outS, outM, curS, curM, f.data, n, inner)
+		}
+		curS, curM = outS, outM
+	}
+	return nil
+}
+
+// modeTarget returns the vector mode d writes: the contraction ping-pongs
+// between dst and tmp, phased so that the last mode lands in dst.
+func (k *Kron) modeTarget(d int, dst, tmp []float64) []float64 {
+	if (len(k.factors)-1-d)%2 == 0 {
+		return dst
+	}
+	return tmp
+}
+
+// axpyMode applies the row-major n×n factor f along one axis of the flat
+// tensor src with the given inner stride (the product of the sizes of the
+// faster-varying axes): each output row of inner entries is the sum of the
+// input rows scaled by the factor row's non-zero entries.
+func axpyMode(dst, src, f []float64, n, inner int) {
 	block := n * inner
-	for base := 0; base < size; base += block {
+	for base := 0; base < len(dst); base += block {
 		for j := 0; j < n; j++ {
-			row := f.data[j*n : (j+1)*n]
 			out := dst[base+j*inner : base+(j+1)*inner]
-			for r := range out {
-				out[r] = 0
-			}
-			for i, a := range row {
+			clear(out)
+			for i, a := range f[j*n : (j+1)*n] {
 				if a == 0 {
 					continue
 				}
 				in := src[base+i*inner : base+(i+1)*inner]
-				if maxMode {
-					for r, v := range in {
-						if p := a * v; p > out[r] {
-							out[r] = p
-						}
-					}
-				} else {
-					for r, v := range in {
-						out[r] += a * v
+				for r, v := range in {
+					out[r] += a * v
+				}
+			}
+		}
+	}
+}
+
+// dotMode is axpyMode for inner stride 1, where an output row is a single
+// entry: one dot product of a factor row with an input block.
+func dotMode(dst, src, f []float64, n int) {
+	for base := 0; base < len(dst); base += n {
+		in := src[base : base+n]
+		for j := 0; j < n; j++ {
+			var s float64
+			for i, a := range f[j*n : (j+1)*n] {
+				if a != 0 {
+					s += a * in[i]
+				}
+			}
+			dst[base+j] = s
+		}
+	}
+}
+
+// axpySumMaxMode is axpyMode over two chains at once: the sum chain reads
+// srcS into dstS, and the (max, ×) chain reads srcM into dstM with the
+// same factor entries.
+func axpySumMaxMode(dstS, dstM, srcS, srcM, f []float64, n, inner int) {
+	block := n * inner
+	for base := 0; base < len(dstS); base += block {
+		for j := 0; j < n; j++ {
+			outS := dstS[base+j*inner : base+(j+1)*inner]
+			outM := dstM[base+j*inner : base+(j+1)*inner]
+			clear(outS)
+			clear(outM)
+			for i, a := range f[j*n : (j+1)*n] {
+				if a == 0 {
+					continue
+				}
+				inS := srcS[base+i*inner : base+(i+1)*inner]
+				inM := srcM[base+i*inner : base+(i+1)*inner]
+				for r, v := range inS {
+					outS[r] += a * v
+					if p := a * inM[r]; p > outM[r] {
+						outM[r] = p
 					}
 				}
 			}
@@ -206,11 +267,32 @@ func contractMode(dst, src []float64, f *Dense, size, n, inner int, maxMode bool
 	}
 }
 
+// dotSumMaxMode is dotMode over the sum and (max, ×) chains at once.
+func dotSumMaxMode(dstS, dstM, srcS, srcM, f []float64, n int) {
+	for base := 0; base < len(dstS); base += n {
+		inS, inM := srcS[base:base+n], srcM[base:base+n]
+		for j := 0; j < n; j++ {
+			var s, m float64
+			for i, a := range f[j*n : (j+1)*n] {
+				if a == 0 {
+					continue
+				}
+				s += a * inS[i]
+				if p := a * inM[i]; p > m {
+					m = p
+				}
+			}
+			dstS[base+j], dstM[base+j] = s, m
+		}
+	}
+}
+
 // InverseInto writes the factored inverse (⊗F_d)⁻¹ = ⊗F_d⁻¹ into dst,
-// inverting each small factor with the shared LU workspace (which is resized
-// per factor, so one workspace serves mixed category counts). dst must have
-// the same per-factor sizes; ErrSingular from any factor propagates — a
-// Kronecker product is singular exactly when some factor is.
+// inverting each small factor with the shared LU workspace (which keeps the
+// buffers of its largest factor, so one workspace serves mixed category
+// counts without reallocating). dst must have the same per-factor sizes;
+// ErrSingular from any factor propagates — a Kronecker product is singular
+// exactly when some factor is.
 func (k *Kron) InverseInto(dst *Kron, lu *LU) error {
 	if err := k.checkDst(dst); err != nil {
 		return err

@@ -121,7 +121,7 @@ func TestKronMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestKronMaxMulVecMatchesDense(t *testing.T) {
+func TestKronSumMaxMulVecMatchesDense(t *testing.T) {
 	r := randx.New(13)
 	for _, dims := range [][]int{{3}, {2, 2}, {3, 4, 2}} {
 		k := mustKron(t, randomFactors(r, dims)...)
@@ -130,12 +130,15 @@ func TestKronMaxMulVecMatchesDense(t *testing.T) {
 		for i := range src {
 			src[i] = r.Float64()
 		}
-		dst := make([]float64, n)
-		tmp := make([]float64, n)
-		if err := k.MaxMulVecInto(dst, src, tmp); err != nil {
+		sum, rowMax := make([]float64, n), make([]float64, n)
+		if err := k.SumMaxMulVecInto(sum, rowMax, src, make([]float64, n), make([]float64, n)); err != nil {
 			t.Fatal(err)
 		}
 		dense := k.Dense()
+		wantSum, err := dense.MulVec(src)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < n; i++ {
 			var want float64
 			for j := 0; j < n; j++ {
@@ -143,8 +146,11 @@ func TestKronMaxMulVecMatchesDense(t *testing.T) {
 					want = v
 				}
 			}
-			if rel := math.Abs(dst[i]-want) / math.Max(1, want); rel > 1e-12 {
-				t.Fatalf("dims %v: dst[%d] = %v, want %v", dims, i, dst[i], want)
+			if rel := math.Abs(rowMax[i]-want) / math.Max(1, want); rel > 1e-12 {
+				t.Fatalf("dims %v: rowMax[%d] = %v, want %v", dims, i, rowMax[i], want)
+			}
+			if rel := math.Abs(sum[i]-wantSum[i]) / math.Max(1, math.Abs(wantSum[i])); rel > 1e-12 {
+				t.Fatalf("dims %v: sum[%d] = %v, dense %v", dims, i, sum[i], wantSum[i])
 			}
 		}
 	}
@@ -161,6 +167,12 @@ func TestKronMulVecChecksLengths(t *testing.T) {
 	}
 	if err := k.MulVecInto(buf, buf, make([]float64, 2)); !errors.Is(err, ErrShape) {
 		t.Fatalf("short tmp: err = %v, want ErrShape", err)
+	}
+	if err := k.SumMaxMulVecInto(buf, make([]float64, 3), buf, buf, buf); !errors.Is(err, ErrShape) {
+		t.Fatalf("short rowMax: err = %v, want ErrShape", err)
+	}
+	if err := k.SumMaxMulVecInto(buf, buf, buf, buf, make([]float64, 5)); !errors.Is(err, ErrShape) {
+		t.Fatalf("long maxTmp: err = %v, want ErrShape", err)
 	}
 }
 
@@ -308,4 +320,232 @@ func (k *Kron) Dense() *Dense {
 		curN = nxtN
 	}
 	return &Dense{rows: curN, cols: curN, data: cur}
+}
+
+// contractOracle is the contraction every Kron product ran before the
+// stride-1 and fused kernels: each mode runs contractMode, over the sum or
+// the (max, ×) semiring, ping-ponging between dst and tmp so that the last
+// mode lands in dst. MulVecInto and SumMaxMulVecInto must match it bit for
+// bit.
+func contractOracle(k *Kron, dst, src, tmp []float64, maxMode bool) {
+	nd := len(k.factors)
+	cur := src
+	a, b := dst, tmp
+	if nd%2 == 0 {
+		a, b = tmp, dst
+	}
+	inner := k.size
+	for d := 0; d < nd; d++ {
+		n := k.dims[d]
+		inner /= n
+		out := a
+		if d%2 == 1 {
+			out = b
+		}
+		contractMode(out, cur, k.factors[d], k.size, n, inner, maxMode)
+		cur = out
+	}
+}
+
+// contractMode applies an n×n factor along one axis of a flat tensor of
+// total length size with the given inner stride (product of the sizes of the
+// faster-varying axes). With maxMode, sums become maxima; the accumulator
+// starts at 0, which is only correct because all terms are non-negative.
+func contractMode(dst, src []float64, f *Dense, size, n, inner int, maxMode bool) {
+	block := n * inner
+	for base := 0; base < size; base += block {
+		for j := 0; j < n; j++ {
+			row := f.data[j*n : (j+1)*n]
+			out := dst[base+j*inner : base+(j+1)*inner]
+			for r := range out {
+				out[r] = 0
+			}
+			for i, a := range row {
+				if a == 0 {
+					continue
+				}
+				in := src[base+i*inner : base+(i+1)*inner]
+				if maxMode {
+					for r, v := range in {
+						if p := a * v; p > out[r] {
+							out[r] = p
+						}
+					}
+				} else {
+					for r, v := range in {
+						out[r] += a * v
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkContractMatchesOracle compares MulVecInto (on the signed factors and
+// src) and SumMaxMulVecInto (on their absolute values, the max chain's
+// domain) with contractOracle by float bits.
+func checkContractMatchesOracle(t *testing.T, dims []int, factors []*Dense, src []float64) {
+	t.Helper()
+	k := mustKron(t, factors...)
+	n := k.Size()
+	vec := func() []float64 { return make([]float64, n) }
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("dims %v: %s[%d] = %v (%#x), oracle %v (%#x)",
+					dims, what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	want, got := vec(), vec()
+	contractOracle(k, want, src, vec(), false)
+	if err := k.MulVecInto(got, src, vec()); err != nil {
+		t.Fatal(err)
+	}
+	same("MulVecInto", got, want)
+
+	abs := make([]*Dense, len(factors))
+	for d, f := range factors {
+		abs[d] = &Dense{rows: f.rows, cols: f.cols, data: make([]float64, len(f.data))}
+		for i, v := range f.data {
+			abs[d].data[i] = math.Abs(v)
+		}
+	}
+	absSrc := vec()
+	for i, v := range src {
+		absSrc[i] = math.Abs(v)
+	}
+	k = mustKron(t, abs...)
+	wantSum, wantMax, sum, rowMax := vec(), vec(), vec(), vec()
+	contractOracle(k, wantSum, absSrc, vec(), false)
+	contractOracle(k, wantMax, absSrc, vec(), true)
+	if err := k.SumMaxMulVecInto(sum, rowMax, absSrc, vec(), vec()); err != nil {
+		t.Fatal(err)
+	}
+	same("SumMaxMulVecInto sum", sum, wantSum)
+	same("SumMaxMulVecInto rowMax", rowMax, wantMax)
+}
+
+// TestKronContractMatchesOracle pins both kernels of both products to the
+// row-axpy oracle for every shape with d = 1–4 factors of n = 1–7 (d = 4
+// sampled): n = 1 makes a mid-tensor mode stride 1, and a quarter of the
+// factor entries and a fifth of the src entries are planted zeros.
+func TestKronContractMatchesOracle(t *testing.T) {
+	r := randx.New(31)
+	value := func(zeroRate float64) float64 {
+		if r.Float64() < zeroRate {
+			return 0
+		}
+		return 2*r.Float64() - 1
+	}
+	shapes := 0
+	for d := 1; d <= 4; d++ {
+		combos := 1
+		for i := 0; i < d; i++ {
+			combos *= 7
+		}
+		for c := 0; c < combos; c++ {
+			if d == 4 && r.Intn(8) != 0 {
+				continue
+			}
+			dims := make([]int, d)
+			for i, rest := 0, c; i < d; i, rest = i+1, rest/7 {
+				dims[i] = 1 + rest%7
+			}
+			factors := make([]*Dense, d)
+			size := 1
+			for i, n := range dims {
+				f := New(n, n)
+				for j := range f.data {
+					f.data[j] = value(0.25)
+				}
+				factors[i] = f
+				size *= n
+			}
+			src := make([]float64, size)
+			for i := range src {
+				src[i] = value(0.2)
+			}
+			checkContractMatchesOracle(t, dims, factors, src)
+			shapes++
+		}
+	}
+	t.Logf("%d shapes", shapes)
+}
+
+// FuzzKronContract checks the kernels against the oracle on fuzzed shapes
+// and entries: shape packs the factor count (low two bits, plus one) and
+// three bits per factor size (mod 7, plus one); data supplies the factor
+// entries, then src, as signed eighths with byte 0x80 read as +Inf (so the
+// zero-entry skip is observable), cycled, and all zero when data is empty.
+func FuzzKronContract(f *testing.F) {
+	f.Add(uint16(0x0b2), []byte{8, 0, 16, 255, 3})
+	f.Add(uint16(0x1fb), []byte{0, 0, 7, 0, 129})
+	f.Add(uint16(0x092), []byte{})
+	f.Add(uint16(0x0e3), []byte{0, 0x80, 3, 0, 0xf0})
+	f.Fuzz(func(t *testing.T, shape uint16, data []byte) {
+		d := 1 + int(shape&3)
+		dims := make([]int, d)
+		for i := range dims {
+			dims[i] = 1 + int(shape>>(2+3*i)&7)%7
+		}
+		next := 0
+		value := func() float64 {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int8(data[next%len(data)])
+			next++
+			if b == math.MinInt8 {
+				return math.Inf(1)
+			}
+			return float64(b) / 8
+		}
+		factors := make([]*Dense, d)
+		size := 1
+		for i, n := range dims {
+			fac := New(n, n)
+			for j := range fac.data {
+				fac.data[j] = value()
+			}
+			factors[i] = fac
+			size *= n
+		}
+		src := make([]float64, size)
+		for i := range src {
+			src[i] = value()
+		}
+		checkContractMatchesOracle(t, dims, factors, src)
+	})
+}
+
+// BenchmarkKronContract times both products at search-multi's 4·5·6 shape
+// (120 cells): mul is one MulVecInto, sum-max one fused SumMaxMulVecInto.
+func BenchmarkKronContract(b *testing.B) {
+	r := randx.New(37)
+	k, err := NewKron(randomFactors(r, []int{4, 5, 6})...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := k.Size()
+	src := make([]float64, n)
+	for i := range src {
+		src[i] = r.Float64()
+	}
+	sum, rowMax, sumTmp, maxTmp := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	b.Run("mul", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := k.MulVecInto(sum, src, sumTmp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("sum-max", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := k.SumMaxMulVecInto(sum, rowMax, src, sumTmp, maxTmp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -11,9 +11,10 @@ import (
 //
 // An LU value doubles as a reusable factorization workspace: NewLU returns an
 // empty one and (*LU).Factorize recomputes the decomposition in place,
-// reusing the internal buffers whenever the matrix size is unchanged. This is
-// the allocation-free path the optimizer's fused objective evaluation runs
-// on; the package-level Factorize remains the convenient one-shot form.
+// reusing the internal buffers whenever they are large enough, so one
+// workspace serves matrices of mixed sizes. This is the allocation-free path
+// the optimizer's fused objective evaluation runs on; the package-level
+// Factorize remains the convenient one-shot form.
 type LU struct {
 	lu      *Dense
 	piv     []int
@@ -43,7 +44,8 @@ func Factorize(a *Dense) (*LU, error) {
 }
 
 // Factorize recomputes the decomposition of a in place, reusing the
-// receiver's buffers when a's size matches the previous factorization. The
+// receiver's buffers whenever their capacity holds a's size: a workspace
+// that has factorized its largest matrix allocates nothing more. The
 // arithmetic is identical to the package-level Factorize, so a reused
 // workspace produces bit-for-bit the same factors.
 func (f *LU) Factorize(a *Dense) error {
@@ -52,12 +54,14 @@ func (f *LU) Factorize(a *Dense) error {
 		return fmt.Errorf("%w: LU of a %dx%d matrix", ErrShape, a.rows, a.cols)
 	}
 	n := a.rows
-	if f.lu == nil || f.lu.rows != n {
+	if f.lu == nil || cap(f.lu.data) < n*n {
 		f.lu = New(n, n)
 		f.piv = make([]int, n)
 		f.col = make([]float64, n)
 		f.rhs = make([]float64, n)
 	}
+	f.lu.rows, f.lu.cols, f.lu.data = n, n, f.lu.data[:n*n]
+	f.piv, f.col, f.rhs = f.piv[:n], f.col[:n], f.rhs[:n]
 	lu := f.lu
 	copy(lu.data, a.data)
 	piv := f.piv

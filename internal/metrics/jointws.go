@@ -14,9 +14,10 @@ import (
 // workspace holds one n×n matrix's intermediates, the joint workspace holds
 // the Kronecker-factored ones — per-attribute factor views, the factored
 // inverse ⊗M_d⁻¹ and its element-wise square, and a handful of product-space
-// vectors (P*, per-row MAP maxima, P̂, the Theorem-6 quadratic form) — so
-// that steady-state evaluation performs zero heap allocations and never
-// materializes the N×N joint channel (N = ∏n_d).
+// vectors (P*, per-row MAP maxima, P̂, the Theorem-6 quadratic form, and
+// two contraction scratches) — so that steady-state evaluation performs
+// zero heap allocations, whether or not the attribute sizes differ, and
+// never materializes the N×N joint channel (N = ∏n_d).
 //
 // Everything is computed from the factors:
 //
@@ -24,13 +25,18 @@ import (
 //   - the MAP adversary's per-row maxima max_i θ_{j,i}·P_i by the same
 //     contraction over the (max, ×) semiring — valid because every θ and P
 //     entry is non-negative, so the maximum commutes through the per-factor
-//     products (Kron.MaxMulVecInto). One sweep over those maxima yields both
-//     the accuracy of Equation 8 and the worst-case posterior of Equation 9,
+//     products. Both chains run in one pass over the factors
+//     (Kron.SumMaxMulVecInto). One sweep over those maxima yields both the
+//     accuracy of Equation 8 and the worst-case posterior of Equation 9,
 //     exactly as in the 1-D fused path;
 //   - the closed-form MSE (Theorem 6) from the factored inverse:
 //     (⊗M_d)⁻¹ = ⊗M_d⁻¹ needs only d small LU inverses, and the per-category
 //     quadratic form Σ_i β²_{k,i}·P*_i is ((⊗M_d⁻¹)∘²)·P* because squaring
 //     commutes with the Kronecker product.
+//
+// EvaluateWithin is the search's entry point: it sweeps first and inverts
+// only a tuple that meets the bound, so a child that needs repair costs one
+// sweep, not a full evaluation.
 //
 // The property tests pin this workspace to 1e-12 against a dense
 // materialization of the joint channel, which lives only in the tests.
@@ -51,6 +57,7 @@ type JointWorkspace struct {
 	pHat   []float64
 	quad   []float64
 	tmp    []float64
+	tmpMax []float64
 }
 
 // NewJointWorkspace returns an empty joint evaluation workspace. Buffers are
@@ -100,6 +107,7 @@ func (ws *JointWorkspace) bind(ms []*rr.Matrix) error {
 	ws.pHat = make([]float64, size)
 	ws.quad = make([]float64, size)
 	ws.tmp = make([]float64, size)
+	ws.tmpMax = make([]float64, size)
 	return nil
 }
 
@@ -132,14 +140,12 @@ func (ws *JointWorkspace) factoredInverse() error {
 	return ws.inv.SquareInto(ws.invSq)
 }
 
-// mapSweep fills ws.pStar and ws.rowMax and sweeps them once, returning the
-// MAP adversary's expected accuracy A = Σ_j max_i θ_{j,i}·P_i and the
-// worst-case record-level posterior max_j (max_i θ_{j,i}·P_i)/P*_j.
+// mapSweep fills ws.pStar and ws.rowMax in one fused contraction and
+// sweeps them once, returning the MAP adversary's expected accuracy
+// A = Σ_j max_i θ_{j,i}·P_i and the worst-case record-level posterior
+// max_j (max_i θ_{j,i}·P_i)/P*_j.
 func (ws *JointWorkspace) mapSweep(joint []float64) (a, mp float64, err error) {
-	if err := ws.theta.MulVecInto(ws.pStar, joint, ws.tmp); err != nil {
-		return 0, 0, err
-	}
-	if err := ws.theta.MaxMulVecInto(ws.rowMax, joint, ws.tmp); err != nil {
+	if err := ws.theta.SumMaxMulVecInto(ws.pStar, ws.rowMax, joint, ws.tmp, ws.tmpMax); err != nil {
 		return 0, 0, err
 	}
 	for j, best := range ws.rowMax {
@@ -181,27 +187,42 @@ func (ws *JointWorkspace) utilityFromPStar(records int) (float64, error) {
 // over the dense joint channel to floating-point round-off (the property
 // tests pin 1e-12) at O(N·Σn_d) instead of O(N²)+O(N³) cost.
 func (ws *JointWorkspace) Evaluate(ms []*rr.Matrix, joint []float64, records int) (Evaluation, error) {
+	ev, _, err := ws.EvaluateWithin(ms, joint, records, math.Inf(1))
+	return ev, err
+}
+
+// EvaluateWithin is Evaluate for a tuple that must meet the record-level
+// posterior bound max P(X-record | Y-record) ≤ delta, with MeetsBound's
+// tolerance. It sweeps first: a tuple that misses the bound returns false
+// and a zero Evaluation without inverting anything, so a singular one is
+// not an error here. A tuple that meets it is finished from that same sweep
+// and returns true with the Evaluation that Evaluate computes, or its error
+// (rr.ErrSingular for a singular tuple).
+func (ws *JointWorkspace) EvaluateWithin(ms []*rr.Matrix, joint []float64, records int, delta float64) (Evaluation, bool, error) {
 	if err := ws.bind(ms); err != nil {
-		return Evaluation{}, err
+		return Evaluation{}, false, err
 	}
 	if err := validateJoint(ws.size, joint); err != nil {
-		return Evaluation{}, err
+		return Evaluation{}, false, err
 	}
 	if records <= 0 {
-		return Evaluation{}, fmt.Errorf("%w: %d", ErrBadRecords, records)
-	}
-	if err := ws.factoredInverse(); err != nil {
-		return Evaluation{}, err
+		return Evaluation{}, false, fmt.Errorf("%w: %d", ErrBadRecords, records)
 	}
 	a, mp, err := ws.mapSweep(joint)
 	if err != nil {
-		return Evaluation{}, err
+		return Evaluation{}, false, err
+	}
+	if mp > delta+1e-12 {
+		return Evaluation{}, false, nil
+	}
+	if err := ws.factoredInverse(); err != nil {
+		return Evaluation{}, false, err
 	}
 	util, err := ws.utilityFromPStar(records)
 	if err != nil {
-		return Evaluation{}, err
+		return Evaluation{}, false, err
 	}
-	return Evaluation{Privacy: 1 - a, Utility: util, MaxPosterior: mp}, nil
+	return Evaluation{Privacy: 1 - a, Utility: util, MaxPosterior: mp}, true, nil
 }
 
 // Privacy returns the record-level privacy 1 − A. Unlike Evaluate it needs
@@ -244,7 +265,7 @@ func (ws *JointWorkspace) Utility(ms []*rr.Matrix, joint []float64, records int)
 
 // MaxPosterior returns the worst-case record-level posterior
 // max P(X-record | Y-record) without the joint channel or any inverse —
-// just two mode contractions and a sweep. It is the bound check the repair
+// just one fused contraction and a sweep. It is the bound check the repair
 // bisection of OptimizeMulti runs dozens of times per infeasible child.
 func (ws *JointWorkspace) MaxPosterior(ms []*rr.Matrix, joint []float64) (float64, error) {
 	if err := ws.bind(ms); err != nil {
@@ -262,7 +283,7 @@ func (ws *JointWorkspace) MaxPosterior(ms []*rr.Matrix, joint []float64) (float6
 
 // MeetsBound reports whether the tuple satisfies the record-level posterior
 // bound max P(X-record | Y-record) ≤ delta under the joint prior, with the
-// same tolerance as the 1-D Workspace.
+// same tolerance as the 1-D Workspace and EvaluateWithin.
 func (ws *JointWorkspace) MeetsBound(ms []*rr.Matrix, joint []float64, delta float64) (bool, error) {
 	mp, err := ws.MaxPosterior(ms, joint)
 	if err != nil {

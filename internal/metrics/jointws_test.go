@@ -266,6 +266,113 @@ func TestJointWorkspaceMeetsBound(t *testing.T) {
 	}
 }
 
+// TestJointWorkspaceEvaluateWithin pins the one-sweep entry point to
+// Evaluate: at a bound the tuple meets it returns Evaluate's result bit for
+// bit, and just below the tuple's posterior it returns false and nothing
+// else. Half the trials are at search-multi's 4·5·6 shape.
+func TestJointWorkspaceEvaluateWithin(t *testing.T) {
+	r := randx.New(61)
+	ws, ref := NewJointWorkspace(), NewJointWorkspace()
+	const records = 10000
+	for trial := 0; trial < 200; trial++ {
+		sizes := []int{4, 5, 6}
+		if trial%2 == 1 {
+			sizes = make([]int, 1+r.Intn(3))
+			for i := range sizes {
+				sizes[i] = 2 + r.Intn(5)
+			}
+		}
+		cells := 1
+		for _, n := range sizes {
+			cells *= n
+		}
+		ms := randomTuple(t, r, sizes)
+		joint := randomJoint(cells, r)
+		want, err := ref.Evaluate(ms, joint, records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := ws.EvaluateWithin(ms, joint, records, want.MaxPosterior)
+		if err != nil || !ok {
+			t.Fatalf("sizes %v: at its own posterior: ok %v, err %v", sizes, ok, err)
+		}
+		if math.Float64bits(got.Privacy) != math.Float64bits(want.Privacy) ||
+			math.Float64bits(got.Utility) != math.Float64bits(want.Utility) ||
+			math.Float64bits(got.MaxPosterior) != math.Float64bits(want.MaxPosterior) {
+			t.Fatalf("sizes %v: EvaluateWithin %+v, Evaluate %+v", sizes, got, want)
+		}
+		got, ok, err = ws.EvaluateWithin(ms, joint, records, want.MaxPosterior-1e-9)
+		if err != nil || ok || got.Privacy != 0 || got.Utility != 0 || got.MaxPosterior != 0 || got.Extra != nil {
+			t.Fatalf("sizes %v: below its posterior: %+v, ok %v, err %v", sizes, got, ok, err)
+		}
+	}
+}
+
+// TestJointWorkspaceEvaluateWithinSingular: a singular tuple that meets the
+// bound fails as Evaluate does, and one that misses it is reported as
+// missing it, without an inverse and so without an error.
+func TestJointWorkspaceEvaluateWithinSingular(t *testing.T) {
+	ms := []*rr.Matrix{rr.TotallyRandom(2), mustWarner(t, 3, 0.9)}
+	joint := randomJoint(6, randx.New(3))
+	ws := NewJointWorkspace()
+	mp, err := ws.MaxPosterior(ms, joint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := ws.EvaluateWithin(ms, joint, 100, mp); ok || !errors.Is(err, rr.ErrSingular) {
+		t.Fatalf("meets the bound: ok %v, err %v, want rr.ErrSingular", ok, err)
+	}
+	if _, ok, err := ws.EvaluateWithin(ms, joint, 100, mp-0.01); ok || err != nil {
+		t.Fatalf("misses the bound: ok %v, err %v, want false and no error", ok, err)
+	}
+	if _, _, err := ws.EvaluateWithin(ms, joint, 0, 1); !errors.Is(err, ErrBadRecords) {
+		t.Fatalf("zero records: err = %v, want ErrBadRecords", err)
+	}
+}
+
+// TestJointWorkspaceZeroAllocMixedSizes holds the type's promise at
+// attribute sizes that differ, where the factored inverse runs one LU
+// workspace over 4×4, 5×5 and 6×6 factors in turn: once warm, Evaluate,
+// MaxPosterior and EvaluateWithin (on both of its outcomes) allocate
+// nothing.
+func TestJointWorkspaceZeroAllocMixedSizes(t *testing.T) {
+	r := randx.New(67)
+	ms := randomTuple(t, r, []int{4, 5, 6})
+	joint := randomJoint(120, r)
+	ws := NewJointWorkspace()
+	ev, err := ws.Evaluate(ms, joint, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]func() error{
+		"Evaluate": func() error {
+			_, err := ws.Evaluate(ms, joint, 10000)
+			return err
+		},
+		"MaxPosterior": func() error {
+			_, err := ws.MaxPosterior(ms, joint)
+			return err
+		},
+		"EvaluateWithin/meets": func() error {
+			_, _, err := ws.EvaluateWithin(ms, joint, 10000, ev.MaxPosterior)
+			return err
+		},
+		"EvaluateWithin/misses": func() error {
+			_, _, err := ws.EvaluateWithin(ms, joint, 10000, ev.MaxPosterior/2)
+			return err
+		},
+	}
+	for name, call := range calls {
+		var callErr error
+		if n := testing.AllocsPerRun(50, func() { callErr = call() }); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
+		}
+		if callErr != nil {
+			t.Fatalf("%s: %v", name, callErr)
+		}
+	}
+}
+
 // TestJointEvaluateSpeedupFloor enforces the acceptance criterion: at d=3,
 // n=5 the factored evaluation must be at least 5× faster than the dense
 // channel path. The real ratio is well over an order of magnitude (the dense
@@ -311,9 +418,10 @@ func TestJointEvaluateSpeedupFloor(t *testing.T) {
 // BenchmarkJointEvaluate is the pinned factored-vs-dense comparison at the
 // acceptance size d=3, n=5 (125 cells): the dense side materializes the
 // Kronecker channel and runs the 1-D fused evaluator over it (one 125×125 LU
-// per evaluation); the factored side reuses a JointWorkspace. The issue
-// requires ≥5× here; see TestJointEvaluateSpeedupFloor for the enforced
-// check.
+// per evaluation); the factored side reuses a JointWorkspace. The factored
+// side must be at least 5× faster; see TestJointEvaluateSpeedupFloor for the
+// enforced check. factored-4x5x6 is the factored side at search-multi's
+// mixed attribute sizes (120 cells), where the factors differ in size.
 func BenchmarkJointEvaluate(b *testing.B) {
 	ms := make([]*rr.Matrix, 3)
 	for i := range ms {
@@ -329,6 +437,24 @@ func BenchmarkJointEvaluate(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := ws.Evaluate(ms, joint, 10000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("factored-4x5x6", func(b *testing.B) {
+		mixed := make([]*rr.Matrix, 3)
+		for i, n := range []int{4, 5, 6} {
+			m, err := rr.Warner(n, 0.75)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mixed[i] = m
+		}
+		joint := uniformJoint(120)
+		ws := NewJointWorkspace()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ws.Evaluate(mixed, joint, 10000); err != nil {
 				b.Fatal(err)
 			}
 		}

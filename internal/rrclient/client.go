@@ -169,7 +169,7 @@ func (c *Client) fetchScheme(ctx context.Context, ifNoneMatch string) (*rrapi.De
 	if hr.StatusCode/100 != 2 {
 		return nil, statusError("GET /v1/scheme", hr)
 	}
-	body, err := io.ReadAll(hr.Body)
+	body, err := readBody(hr.Body, hr.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("rrclient: reading /v1/scheme response: %w", err)
 	}
@@ -178,6 +178,40 @@ func (c *Client) fetchScheme(ctx context.Context, ifNoneMatch string) (*rrapi.De
 		return nil, fmt.Errorf("rrclient: decoding /v1/scheme response: %w", err)
 	}
 	return &dep, nil
+}
+
+// maxPrealloc caps the buffer readBody sizes from a declared length. A
+// deployed scheme's body is about 1.4 MB for a 256-wide sketch; a longer
+// declared body is still read to its end, in a buffer that grows only as
+// its bytes arrive, so a lying Content-Length cannot force a large
+// allocation before any byte is read.
+const maxPrealloc = 4 << 20
+
+// readBody reads r to its end, as io.ReadAll does, into a buffer sized from
+// the declared length (negative when unknown): a body that arrives at its
+// declared length, up to maxPrealloc, is read into one allocation, where
+// io.ReadAll would grow its buffer from 512 bytes. Without a declared
+// length, it is io.ReadAll.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	if declared < 0 {
+		return io.ReadAll(r)
+	}
+	// One spare byte lets the read that reports the end land without a
+	// growth.
+	b := make([]byte, 0, min(declared, maxPrealloc)+1)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // SchemeChanged asks the server whether the deployed scheme differs from the

@@ -1,10 +1,14 @@
 package rrclient
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -160,4 +164,89 @@ func TestClientDefaultTimeout(t *testing.T) {
 	if got := New(srv.URL, WithHTTPClient(hc)).hc; got != hc {
 		t.Fatal("WithHTTPClient did not replace the default client")
 	}
+}
+
+// TestFetchSchemeBodyFraming: the scheme fetch reads a chunked body, which
+// declares no length, and fails on a body cut short of its declared length
+// instead of decoding what arrived.
+func TestFetchSchemeBodyFraming(t *testing.T) {
+	m, err := rr.Warner(4, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(rrapi.SchemeResponse{Matrix: m, Z: 1.96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /chunked/v1/scheme", func(w http.ResponseWriter, _ *http.Request) {
+		w.Write(body[:len(body)/2]) //nolint:errcheck
+		w.(http.Flusher).Flush()
+		w.Write(body[len(body)/2:]) //nolint:errcheck
+	})
+	mux.HandleFunc("GET /short/v1/scheme", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)+64))
+		w.Write(body) //nolint:errcheck
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+
+	resp, err := srv.Client().Get(srv.URL + "/chunked/v1/scheme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.ContentLength != -1 || len(resp.TransferEncoding) != 1 || resp.TransferEncoding[0] != "chunked" {
+		t.Fatalf("test premise broken: chunked route answers with length %d, encoding %v", resp.ContentLength, resp.TransferEncoding)
+	}
+	got, err := New(srv.URL+"/chunked", WithHTTPClient(srv.Client())).Scheme(ctx)
+	if err != nil {
+		t.Fatalf("chunked body: %v", err)
+	}
+	if !got.Equal(m, 0) {
+		t.Fatalf("chunked body decoded to %v, want %v", got, m)
+	}
+
+	if _, err := New(srv.URL+"/short", WithHTTPClient(srv.Client())).Scheme(ctx); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("body cut short of its declared length: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestReadBody pins readBody's buffer sizing: a body at its declared length
+// takes one allocation, a declared length past maxPrealloc allocates no
+// more than the cap up front and still reads a body longer than the cap to
+// its end, and an unknown length reads as io.ReadAll does. A reader that
+// ends before its declared length yields what it read: reporting a body
+// cut short is the HTTP body reader's job (TestFetchSchemeBodyFraming).
+func TestReadBody(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789"), 1000)
+	read := func(declared int64, b []byte) []byte {
+		t.Helper()
+		got, err := readBody(bytes.NewReader(b), declared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, b) {
+			t.Fatalf("declared %d: read %d bytes, want the %d-byte body", declared, len(got), len(b))
+		}
+		return got
+	}
+	read(-1, body)
+	read(0, nil)
+	rd := bytes.NewReader(body)
+	if n := testing.AllocsPerRun(20, func() {
+		rd.Reset(body)
+		if got, err := readBody(rd, int64(len(body))); err != nil || len(got) != len(body) {
+			t.Fatalf("read %d bytes, err %v", len(got), err)
+		}
+	}); n != 1 {
+		t.Fatalf("body at its declared length: %v allocations, want 1", n)
+	}
+	if got := read(1<<40, body); cap(got) > maxPrealloc+1 {
+		t.Fatalf("a declared 1 TiB allocated %d bytes up front, want at most %d", cap(got), maxPrealloc+1)
+	}
+	long := bytes.Repeat([]byte{'x'}, maxPrealloc+100)
+	read(int64(len(long)), long)
+	read(int64(len(body)), body[:len(body)/2])
 }
