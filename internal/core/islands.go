@@ -14,7 +14,7 @@ import (
 // search runs as W independent sub-populations, each a full SPEA2+Ω search
 // (its own RNG stream, evaluation scratch and local Ω archive) over
 // PopulationSize/W individuals. Every MigrateEvery generations the islands
-// synchronize: each exports its MigrationSize best front members to its ring
+// synchronize: each exports its migrationSize best front members to its ring
 // neighbor, and every local Ω folds into the global Ω under the paper's
 // three-set update rule. Splitting the population cuts the O(n²)–O(n³)
 // SPEA2 selection kernels by ~W× while the ring keeps the islands from
@@ -24,9 +24,9 @@ import (
 // Determinism: island i draws from randx.Stream(Seed, i), islands advance in
 // lockstep epochs, and migration + Ω folding run sequentially in island
 // order after a barrier — so the result depends only on (Seed, Islands,
-// MigrateEvery, MigrationSize) and the rest of the Config, never on
-// scheduling. The serial path (Islands <= 1) does not share any of this
-// machinery and stays bit-for-bit identical to previous releases.
+// MigrateEvery) and the rest of the Config, never on scheduling. The serial
+// path (Islands <= 1) does not share any of this machinery and stays
+// bit-for-bit identical to previous releases.
 
 // islandState couples one island's optimizer with its loop state.
 type islandState struct {
@@ -137,7 +137,6 @@ func (o *Optimizer) buildIslands() ([]*islandState, error) {
 		sub := cfg
 		sub.Islands = 0
 		sub.MigrateEvery = 0
-		sub.MigrationSize = 0
 		sub.PopulationSize = subPop
 		sub.ArchiveSize = subArch
 		sub.Workers = subWorkers
@@ -192,13 +191,9 @@ func (is *islandState) advanceTo(target int) {
 // entering its local Ω — so the exchange is order-independent and
 // deterministic.
 func (o *Optimizer) migrate(islands []*islandState) {
-	k := o.cfg.MigrationSize
-	if k <= 0 || len(islands) < 2 {
-		return
-	}
 	exports := make([][]Individual, len(islands))
 	for i, is := range islands {
-		exports[i] = is.emigrants(k)
+		exports[i] = is.emigrants(migrationSize)
 	}
 	for i, out := range exports {
 		recv := islands[(i+1)%len(islands)]
@@ -331,7 +326,7 @@ func (o *Optimizer) emitEpoch(epoch int, islands []*islandState, refUtility floa
 			"epoch":          epoch,
 			"gen":            gen,
 			"islands":        len(islands),
-			"exports":        o.cfg.MigrationSize,
+			"exports":        migrationSize,
 			"omega_occupied": st.OmegaOccupied,
 			"hypervolume":    st.FrontHypervolume,
 			"front_size":     st.FrontSize,

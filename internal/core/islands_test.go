@@ -38,8 +38,8 @@ func frontKey(res Result) []float64 {
 }
 
 // TestIslandsSeededReproducible pins the island-mode determinism contract:
-// a fixed (Seed, Islands, MigrateEvery, MigrationSize) reproduces the front
-// bit-for-bit, and changing the seed changes it.
+// a fixed (Seed, Islands, MigrateEvery) reproduces the front bit-for-bit,
+// and changing the seed changes it.
 func TestIslandsSeededReproducible(t *testing.T) {
 	run := func(seed uint64) Result {
 		cfg := islandConfig()
@@ -326,7 +326,6 @@ func TestValidateIslandConfig(t *testing.T) {
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.Islands = -1 },
 		func(c *Config) { c.MigrateEvery = -5 },
-		func(c *Config) { c.MigrationSize = -2 },
 	} {
 		cfg := quickConfig()
 		mutate(&cfg)

@@ -43,15 +43,14 @@ type MultiConfig struct {
 	// Delta bounds the record-level posterior.
 	Delta float64
 
-	// PopulationSize, ArchiveSize, MutationRate, Seed and Workers mirror
-	// Config, zero values included. OmegaSize and Generations do not: zero
-	// OmegaSize means 1000 bins (Ω cannot be disabled here) and zero
-	// Generations means 300.
+	// PopulationSize, ArchiveSize, Seed and Workers mirror Config, zero
+	// values included. OmegaSize and Generations do not: zero OmegaSize
+	// means 1000 bins (Ω cannot be disabled here) and zero Generations
+	// means 300.
 	PopulationSize int
 	ArchiveSize    int
 	OmegaSize      int
 	Generations    int
-	MutationRate   float64
 	Seed           uint64
 	Workers        int
 	// Context, if non-nil, is checked once per generation; cancellation
@@ -120,16 +119,9 @@ func (c MultiConfig) engineConfig() Config {
 		ArchiveSize:    c.ArchiveSize,
 		OmegaSize:      c.OmegaSize,
 		Generations:    c.Generations,
-		MutationRate:   c.MutationRate,
-		// A mutated child gets two tuple mutations, each on one attribute
-		// drawn at random.
-		MutationsPerChild: 2,
-		ImmigrantFraction: -1, // no immigrants
-		KNearest:          1,
-		Normalize:         true,
-		Seed:              c.Seed,
-		Workers:           c.Workers,
-		Context:           c.Context,
+		Seed:           c.Seed,
+		Workers:        c.Workers,
+		Context:        c.Context,
 	}.withDefaults()
 }
 
@@ -148,7 +140,7 @@ func (c MultiConfig) Validate() error {
 	if len(c.Joint) != total {
 		return fmt.Errorf("%w: joint has %d cells, want %d", ErrBadConfig, len(c.Joint), total)
 	}
-	return validateSearch("joint", c.Joint, c.Records, c.Delta, c.MutationRate,
+	return validateSearch("joint", c.Joint, c.Records, c.Delta,
 		c.PopulationSize, c.ArchiveSize, c.Generations, c.OmegaSize)
 }
 
@@ -224,7 +216,8 @@ func (p *multiProblem) crossover(a, b tuple, r *randx.Source) (tuple, tuple, err
 	return c1, c2, nil
 }
 
-// mutate applies the paper's mutation to one attribute drawn at random.
+// mutate applies the paper's mutation to one attribute drawn at random; each
+// of a mutated child's mutationsPerChild mutations draws its own attribute.
 func (p *multiProblem) mutate(t tuple, r *randx.Source) {
 	Mutate(t[r.Intn(len(t))], MutationProportional, 1, r)
 }
@@ -288,6 +281,9 @@ func (p *multiProblem) referenceUtility() float64 {
 // backfill is off: the reverse three-set update lowers the median front
 // quality of tuple searches and slows them (DESIGN.md §7).
 func (p *multiProblem) backfill() bool { return false }
+
+// immigrants is off: every tuple child comes from crossover.
+func (p *multiProblem) immigrants() bool { return false }
 
 // multiScratch is one worker's exclusive evaluation state: the factored
 // joint workspace plus per-attribute scratch matrices for materialization
@@ -362,13 +358,13 @@ func meetJointBound(gs []Genome, sc *multiScratch, cfg MultiConfig) bool {
 		}
 		return mp
 	}
-	if worst(1) > cfg.Delta+1e-12 {
+	if worst(1) > cfg.Delta+metrics.BoundTolerance {
 		return false
 	}
 	lo, hi := 0.0, 1.0
 	for iter := 0; iter < 30; iter++ {
 		mid := (lo + hi) / 2
-		if worst(mid) <= cfg.Delta+1e-12 {
+		if worst(mid) <= cfg.Delta+metrics.BoundTolerance {
 			hi = mid
 		} else {
 			lo = mid

@@ -51,7 +51,6 @@ func TestMultiConfigValidate(t *testing.T) {
 		{"delta below joint mode", func(c *MultiConfig) { c.Delta = 0.2 }, ErrInfeasibleBound},
 		{"negative population", func(c *MultiConfig) { c.PopulationSize = -1 }, ErrBadConfig},
 		{"negative archive", func(c *MultiConfig) { c.ArchiveSize = -1 }, ErrBadConfig},
-		{"mutation rate", func(c *MultiConfig) { c.MutationRate = 1.5 }, ErrBadConfig},
 	}
 	for _, c := range cases {
 		cfg := quickMulti()

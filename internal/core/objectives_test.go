@@ -201,64 +201,3 @@ func TestValidateObjectives(t *testing.T) {
 		t.Fatalf("valid tri-objective config rejected: %v", err)
 	}
 }
-
-// TestWeightVectors pins the legacy two-objective arithmetic and the
-// simplex-lattice sweep shape.
-func TestWeightVectors(t *testing.T) {
-	vs := weightVectors(2, 21)
-	if len(vs) != 21 {
-		t.Fatalf("k=2: %d vectors, want 21", len(vs))
-	}
-	for wi, v := range vs {
-		w := float64(wi) / 20
-		if v[1] != w || v[0] != 1-w {
-			t.Fatalf("k=2 wi=%d: %v, want [%v %v]", wi, v, 1-w, w)
-		}
-	}
-	vs = weightVectors(3, 5)
-	if len(vs) != 15 { // C(4+2, 2) compositions of 4 into 3 parts
-		t.Fatalf("k=3 m=4: %d vectors, want 15", len(vs))
-	}
-	for _, v := range vs {
-		var sum float64
-		for _, c := range v {
-			if c < 0 || c > 1 {
-				t.Fatalf("component %v outside [0,1] in %v", c, v)
-			}
-			sum += c
-		}
-		if math.Abs(sum-1) > 1e-12 {
-			t.Fatalf("vector %v sums to %v", v, sum)
-		}
-	}
-}
-
-// TestWeightedSumTriObjective runs the baseline with an extra objective: it
-// must produce a k-dim union front with extras populated.
-func TestWeightedSumTriObjective(t *testing.T) {
-	cfg := WeightedSumConfig{
-		Prior:          []float64{0.5, 0.3, 0.2},
-		Records:        10000,
-		Delta:          0.75,
-		Weights:        3,
-		PopulationSize: 8,
-		Generations:    4,
-		Seed:           11,
-		Objectives:     testObjectives(t, "mutual-information"),
-	}
-	res, err := OptimizeWeightedSum(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Front) == 0 {
-		t.Fatal("empty front")
-	}
-	for i, ind := range res.Front {
-		if len(ind.Eval.Extra) != 1 || math.IsNaN(ind.Eval.Extra[0]) || ind.Eval.Extra[0] < 0 {
-			t.Fatalf("individual %d: extras %v", i, ind.Eval.Extra)
-		}
-		if d := ind.Point().Dim(); d != 3 {
-			t.Fatalf("individual %d: dim %d, want 3", i, d)
-		}
-	}
-}

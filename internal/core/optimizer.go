@@ -94,18 +94,6 @@ type Config struct {
 	// criterion). Zero disables stagnation-based termination.
 	StagnationLimit int
 
-	// MutationRate is the per-child probability of applying the mutation
-	// operator after crossover. Zero means 0.6.
-	MutationRate float64
-	// MutationsPerChild is the number of mutation applications on a child
-	// selected for mutation; zero means 2. Values above one speed up the
-	// discovery of the coordinated cross-column structures at the
-	// low-privacy end of the front.
-	MutationsPerChild int
-	// ImmigrantFraction is the share of each generation's population
-	// replaced by fresh random genomes, maintaining exploration pressure
-	// far from the current front. Zero means 0.1; negative disables.
-	ImmigrantFraction float64
 	// MutationStyle selects the paper's proportional mutation (default) or
 	// the naive renormalizing baseline.
 	MutationStyle MutationStyle
@@ -154,22 +142,14 @@ type Config struct {
 	// generations and fold their fronts into one global Ω. 0 or 1 (the
 	// default) is the single-population search, bit-for-bit identical to
 	// previous releases regardless of Workers. Island runs are
-	// seeded-reproducible for a fixed (Seed, Islands, MigrateEvery,
-	// MigrationSize) but produce different (equivalent-quality) fronts than
-	// the serial search. In island mode Progress fires once per migration
-	// epoch rather than per generation.
+	// seeded-reproducible for a fixed (Seed, Islands, MigrateEvery) but
+	// produce different (equivalent-quality) fronts than the serial search.
+	// In island mode Progress fires once per migration epoch rather than per
+	// generation.
 	Islands int
 	// MigrateEvery is the migration interval M in generations; zero means
 	// 25. Only meaningful with Islands > 1.
 	MigrateEvery int
-	// MigrationSize is the number of front members each island exports to
-	// its ring neighbor per migration; zero means 4. Only meaningful with
-	// Islands > 1.
-	MigrationSize int
-
-	// SPEA2 tuning (see emoo.Config). KNearest zero means 1.
-	KNearest  int
-	Normalize bool
 
 	// Progress, if non-nil, is invoked after every generation with running
 	// statistics. It must not retain the Stats value's slices — they alias a
@@ -189,16 +169,35 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// The search's fixed operators (Section V): no caller varies them.
+const (
+	// mutationRate is the per-child probability of mutating after crossover.
+	mutationRate = 0.6
+	// mutationsPerChild is the number of mutations a mutated child gets; more
+	// than one speeds up the discovery of the coordinated cross-column
+	// structures at the low-privacy end of the front.
+	mutationsPerChild = 2
+	// immigrantFraction is the share of each generation's population that a
+	// problem drawing immigrants replaces with fresh random genomes, keeping
+	// exploration pressure far from the current front.
+	immigrantFraction = 0.1
+	// migrationSize is the number of front members each island exports to
+	// its ring neighbour per migration.
+	migrationSize = 4
+)
+
+// spea2Config is the paper's SPEA2: nearest-neighbour density and truncation
+// on range-normalized objectives.
+var spea2Config = emoo.Config{KNearest: 1, Normalize: true}
+
 // DefaultConfig returns the configuration used throughout the paper's
 // experiments, for the given prior, record count and bound.
 func DefaultConfig(prior []float64, records int, delta float64) Config {
 	return Config{
-		Prior:       prior,
-		Records:     records,
-		Delta:       delta,
-		OmegaSize:   1000,
-		Generations: 500,
-		Normalize:   true,
+		Prior:     prior,
+		Records:   records,
+		Delta:     delta,
+		OmegaSize: 1000,
 	}
 }
 
@@ -212,37 +211,13 @@ func (c Config) withDefaults() Config {
 	if c.Generations == 0 {
 		c.Generations = 500
 	}
-	if c.MutationRate == 0 {
-		c.MutationRate = 0.6
-	}
-	if c.MutationsPerChild == 0 {
-		c.MutationsPerChild = 2
-	}
-	if c.ImmigrantFraction == 0 {
-		c.ImmigrantFraction = 0.1
-	}
-	if c.ImmigrantFraction < 0 {
-		c.ImmigrantFraction = 0
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.KNearest == 0 {
-		c.KNearest = 1
-	}
-	if c.Islands > 1 {
-		if c.MigrateEvery == 0 {
-			c.MigrateEvery = 25
-		}
-		if c.MigrationSize == 0 {
-			c.MigrationSize = 4
-		}
+	if c.Islands > 1 && c.MigrateEvery == 0 {
+		c.MigrateEvery = 25
 	}
 	return c
-}
-
-func (c Config) emooConfig() emoo.Config {
-	return emoo.Config{KNearest: c.KNearest, Normalize: c.Normalize}
 }
 
 // Optimizer errors.
@@ -275,11 +250,11 @@ func (c Config) Validate() error {
 	if len(c.Prior) < 2 {
 		return fmt.Errorf("%w: prior must have at least 2 categories", ErrBadConfig)
 	}
-	if err := validateSearch("prior", c.Prior, c.Records, c.Delta, c.MutationRate,
+	if err := validateSearch("prior", c.Prior, c.Records, c.Delta,
 		c.PopulationSize, c.ArchiveSize, c.Generations, c.OmegaSize); err != nil {
 		return err
 	}
-	if c.Islands < 0 || c.MigrateEvery < 0 || c.MigrationSize < 0 {
+	if c.Islands < 0 || c.MigrateEvery < 0 {
 		return fmt.Errorf("%w: negative island parameter", ErrBadConfig)
 	}
 	return validateObjectives(c.Objectives)
@@ -288,8 +263,8 @@ func (c Config) Validate() error {
 // validateSearch holds the checks the single- and multi-attribute searches
 // share: dist (named what in messages) is a probability distribution,
 // records and delta are usable, delta clears the distribution's mode
-// (Theorem 5), the mutation rate is a probability and no size is negative.
-func validateSearch(what string, dist []float64, records int, delta, mutationRate float64, sizes ...int) error {
+// (Theorem 5) and no size is negative.
+func validateSearch(what string, dist []float64, records int, delta float64, sizes ...int) error {
 	var sum float64
 	for i, v := range dist {
 		if v < 0 || math.IsNaN(v) {
@@ -306,16 +281,18 @@ func validateSearch(what string, dist []float64, records int, delta, mutationRat
 	if delta <= 0 || delta > 1 {
 		return fmt.Errorf("%w: delta = %v outside (0, 1]", ErrBadConfig, delta)
 	}
-	if floor := metrics.BoundFloor(dist); floor > delta+1e-12 {
+	if floor := metrics.BoundFloor(dist); floor > delta+metrics.BoundTolerance {
 		return fmt.Errorf("%w: delta = %v, %s mode = %v", ErrInfeasibleBound, delta, what, floor)
 	}
+	return validateSizes(sizes...)
+}
+
+// validateSizes rejects a negative size.
+func validateSizes(sizes ...int) error {
 	for _, s := range sizes {
 		if s < 0 {
 			return fmt.Errorf("%w: negative size", ErrBadConfig)
 		}
-	}
-	if mutationRate < 0 || mutationRate > 1 {
-		return fmt.Errorf("%w: mutation rate %v outside [0, 1]", ErrBadConfig, mutationRate)
 	}
 	return nil
 }
@@ -355,12 +332,11 @@ func evalExtras(ws *metrics.Workspace, m *rr.Matrix, prior []float64, records in
 		return nil, nil
 	}
 	extra := make([]float64, len(objs))
+	if err := ws.EvaluateObjectives(m, prior, records, objs, extra); err != nil {
+		return nil, err
+	}
 	for t, obj := range objs {
-		v, err := obj.Evaluate(ws, m, prior, records)
-		if err != nil {
-			return nil, err
-		}
-		extra[t] = metrics.CanonicalValue(obj, v)
+		extra[t] = metrics.CanonicalValue(obj, extra[t])
 	}
 	return extra, nil
 }
@@ -496,6 +472,9 @@ type problem[G any] interface {
 	// backfill reports whether the three-set update also runs in reverse
 	// (Omega.ImproveArchive).
 	backfill() bool
+	// immigrants reports whether every generation replaces immigrantFraction
+	// of the population with fresh random genomes.
+	immigrants() bool
 }
 
 // engine is the generation loop of Section V-A over genomes of type G. It
@@ -728,6 +707,9 @@ func (o *Optimizer) referenceUtility() float64 {
 // three-set update.
 func (o *Optimizer) backfill() bool { return true }
 
+// immigrants is on for the single-attribute search.
+func (o *Optimizer) immigrants() bool { return true }
+
 // warnerReference returns twice the utility of the noisiest Warner scheme —
 // the same diagonal on every attribute, over sizes — that utility can
 // evaluate: an upper anchor for MSE scale. Falls back to 1 if none can be.
@@ -881,7 +863,10 @@ func (o *engine[G]) stepGeneration(rs *runState[G]) (bool, error) {
 		// Crossover + mutation produce the next population; a small
 		// immigrant quota keeps exploration pressure away from the current
 		// front.
-		immigrants := int(cfg.ImmigrantFraction * float64(cfg.PopulationSize))
+		immigrants := 0
+		if o.prob.immigrants() {
+			immigrants = int(immigrantFraction * float64(cfg.PopulationSize))
+		}
 		genomes := make([]G, 0, cfg.PopulationSize)
 		for len(genomes) < cfg.PopulationSize-immigrants {
 			ia := emoo.BinaryTournament(archiveFit, o.rng)
@@ -894,8 +879,8 @@ func (o *engine[G]) stepGeneration(rs *runState[G]) (bool, error) {
 				if len(genomes) >= cfg.PopulationSize-immigrants {
 					break
 				}
-				if o.rng.Float64() < cfg.MutationRate {
-					for k := 0; k < cfg.MutationsPerChild; k++ {
+				if o.rng.Float64() < mutationRate {
+					for k := 0; k < mutationsPerChild; k++ {
 						o.prob.mutate(child, o.rng)
 					}
 				}
@@ -1000,7 +985,7 @@ func (o *engine[G]) assignFitness(pts []pareto.Point) emoo.Fitness {
 	if o.timed {
 		mark = time.Now()
 	}
-	fit := o.emooScratch.AssignFitness(pts, o.cfg.emooConfig())
+	fit := o.emooScratch.AssignFitness(pts, spea2Config)
 	if o.timed {
 		o.fitnessDur += time.Since(mark)
 	}
@@ -1019,7 +1004,7 @@ func (o *engine[G]) selectEnvironment(pts []pareto.Point) ([]int, error) {
 	if o.timed {
 		mark = time.Now()
 	}
-	sel, err := o.emooScratch.SelectEnvironment(pts, fit, o.cfg.ArchiveSize, o.cfg.emooConfig())
+	sel, err := o.emooScratch.SelectEnvironment(pts, fit, o.cfg.ArchiveSize, spea2Config)
 	if o.timed {
 		o.truncateDur += time.Since(mark)
 	}

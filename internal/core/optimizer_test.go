@@ -44,7 +44,6 @@ func TestConfigValidate(t *testing.T) {
 		{"delta zero", func(c *Config) { c.Delta = 0 }, ErrBadConfig},
 		{"delta big", func(c *Config) { c.Delta = 1.5 }, ErrBadConfig},
 		{"delta below mode", func(c *Config) { c.Delta = 0.2 }, ErrInfeasibleBound},
-		{"mutation rate", func(c *Config) { c.MutationRate = 1.5 }, ErrBadConfig},
 		{"negative size", func(c *Config) { c.Generations = -1 }, ErrBadConfig},
 	}
 	for _, c := range cases {

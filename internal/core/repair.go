@@ -74,7 +74,7 @@ func meetBoundStats(g Genome, prior []float64, delta float64, symmetric bool, sl
 		// delta >= 1 always holds; delta <= 0 never does.
 		return delta >= 1, st
 	}
-	if metrics.BoundFloor(prior) > delta+1e-12 {
+	if metrics.BoundFloor(prior) > delta+metrics.BoundTolerance {
 		return false, st
 	}
 	if len(slack) < n {
@@ -83,7 +83,7 @@ func meetBoundStats(g Genome, prior []float64, delta float64, symmetric bool, sl
 	maxRounds := repairRoundsPerEntry * n * n
 	for round := 0; round < maxRounds; round++ {
 		r, c, post := worstPosterior(g, prior)
-		if post <= delta+1e-12 {
+		if post <= delta+metrics.BoundTolerance {
 			return true, st
 		}
 		st.Rounds++
@@ -92,7 +92,7 @@ func meetBoundStats(g Genome, prior []float64, delta float64, symmetric bool, sl
 			g.Symmetrize()
 		}
 	}
-	if _, _, post := worstPosterior(g, prior); post <= delta+1e-12 {
+	if _, _, post := worstPosterior(g, prior); post <= delta+metrics.BoundTolerance {
 		return true, st
 	}
 	st.Blended = true
@@ -125,7 +125,7 @@ func blendTowardUniform(g Genome, prior []float64, delta float64) bool {
 				}
 			}
 		}
-		return worst <= delta+1e-12
+		return worst <= delta+metrics.BoundTolerance
 	}
 	if !meets(1) {
 		return false // delta below the prior mode; caller already checked

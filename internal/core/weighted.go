@@ -28,24 +28,13 @@ type WeightedSumConfig struct {
 	Records int
 	Delta   float64
 
-	// Weights is the number of weight values swept per axis; zero means
-	// 21. With no extra objectives this is exactly the paper-era sweep of
-	// w across [0, 1]; with k objectives the sweep enumerates the simplex
-	// lattice with Weights−1 divisions, so the run count grows
-	// combinatorially in k.
+	// Weights is the number of weight values w swept evenly across [0, 1];
+	// zero means 21. One is rejected: a sweep needs both ends.
 	Weights int
-	// Objectives appends extra objectives to the scalarization, exactly as
-	// Config.Objectives does for the EMO: each weight vector then has one
-	// component per objective, and the collected union front is filtered by
-	// k-dimensional dominance. Nil reproduces the legacy two-term scalar
-	// bit-for-bit.
-	Objectives []metrics.Objective
 	// PopulationSize per weight; zero means 30.
 	PopulationSize int
 	// Generations per weight; zero means 100.
 	Generations int
-	// MutationRate as in Config; zero means 0.6.
-	MutationRate float64
 	// Seed drives all randomness.
 	Seed uint64
 	// Context, if non-nil, is checked once per generation; cancellation
@@ -64,36 +53,40 @@ func (c WeightedSumConfig) withDefaults() WeightedSumConfig {
 	if c.Generations == 0 {
 		c.Generations = 100
 	}
-	if c.MutationRate == 0 {
-		c.MutationRate = 0.6
-	}
 	return c
 }
 
 // singleConfig is the one-worker single-attribute configuration whose
 // problem definition realizes the baseline's genomes.
 func (c WeightedSumConfig) singleConfig() Config {
-	return Config{Prior: c.Prior, Records: c.Records, Delta: c.Delta, Objectives: c.Objectives, Workers: 1}
+	return Config{Prior: c.Prior, Records: c.Records, Delta: c.Delta, Workers: 1}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration: the problem as Config.Validate does,
+// and the sweep's own sizes.
 func (c WeightedSumConfig) Validate() error {
-	return c.singleConfig().Validate()
+	if err := c.singleConfig().Validate(); err != nil {
+		return err
+	}
+	if c.Weights == 1 {
+		return fmt.Errorf("%w: one weight cannot sweep [0, 1]", ErrBadConfig)
+	}
+	return validateSizes(c.Weights, c.PopulationSize, c.Generations)
 }
 
-// OptimizeWeightedSum sweeps weight vectors v over the objective simplex;
-// for each v a single-objective GA minimizes
+// OptimizeWeightedSum sweeps the weight w evenly across [0, 1]; for each w a
+// single-objective GA minimizes
 //
-//	f(M) = v₁·(Utility(M)/uRef) + v₀·(1 − Privacy(M)) + Σ_t v_{2+t}·(x_t/ref_t),
+//	f(M) = w·(Utility(M)/uRef) + (1−w)·(1 − Privacy(M)),
 //
-// with uRef a fixed utility normalizer so both terms share a scale, x_t the
-// canonical value of extra objective t and ref_t its normalizer. Without
-// extra objectives this is exactly the paper-era sweep of
-// w·(Utility/uRef) + (1−w)·(1−Privacy) over w ∈ [0, 1]. Every individual
-// ever evaluated feasibly is collected and the Pareto front of the union is
-// returned, making the comparison against the EMO as generous to the
-// baseline as possible. The returned Result mirrors Run's.
+// with uRef a fixed utility normalizer so both terms share a scale. Every
+// individual ever evaluated feasibly is collected and the Pareto front of the
+// union is returned, making the comparison against the EMO as generous to
+// the baseline as possible. The returned Result mirrors Run's.
 func OptimizeWeightedSum(cfg WeightedSumConfig) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	single, err := New(cfg.singleConfig())
 	if err != nil {
 		return Result{}, err
@@ -106,7 +99,6 @@ func OptimizeWeightedSum(cfg WeightedSumConfig) (Result, error) {
 	n := len(cfg.Prior)
 
 	uRef := weightedReferenceUtility(cfg)
-	extraRefs := weightedReferenceExtras(cfg)
 	evaluations := 0
 
 	// Genomes are repaired and evaluated exactly as in the EMO, on the
@@ -116,15 +108,8 @@ func OptimizeWeightedSum(cfg WeightedSumConfig) (Result, error) {
 		ind, c := single.realizeGenome(g, 0)
 		return ind, c.ok
 	}
-	// The utility term leads so that the two-term case reproduces the
-	// legacy w·(U/uRef) + (1−w)·(1−P) floating-point sequence exactly
-	// (v₁ = w and v₀ = 1−w bit-for-bit, see weightVectors).
-	scalar := func(ind Individual, v []float64) float64 {
-		s := v[1]*(ind.Eval.Utility/uRef) + v[0]*(1-ind.Eval.Privacy)
-		for t, x := range ind.Eval.Extra {
-			s += v[2+t] * (x / extraRefs[t])
-		}
-		return s
+	scalar := func(ind Individual, w float64) float64 {
+		return w*(ind.Eval.Utility/uRef) + (1-w)*(1-ind.Eval.Privacy)
 	}
 
 	var all []Individual
@@ -144,9 +129,9 @@ func OptimizeWeightedSum(cfg WeightedSumConfig) (Result, error) {
 
 	generations := 0
 	var cancelErr error
-	vectors := weightVectors(2+len(cfg.Objectives), cfg.Weights)
 sweep:
-	for _, w := range vectors {
+	for wi := 0; wi < cfg.Weights; wi++ {
+		w := float64(wi) / float64(cfg.Weights-1)
 		pop := make([]Individual, cfg.PopulationSize)
 		for i := range pop {
 			ind, err := fresh()
@@ -192,7 +177,7 @@ sweep:
 					if len(next) >= cfg.PopulationSize {
 						break
 					}
-					if rng.Float64() < cfg.MutationRate {
+					if rng.Float64() < mutationRate {
 						Mutate(child, MutationProportional, 1, rng)
 					}
 					ind, ok := evaluate(child)
@@ -225,83 +210,6 @@ sweep:
 		Generations: generations,
 		Evaluations: evaluations,
 	}, cancelErr
-}
-
-// weightVectors enumerates the sweep's weight vectors: length-k, entries on
-// the lattice {0, 1/m, …, 1} with m = weights−1, summing to 1. The k = 2
-// case is kept in the exact legacy arithmetic — v₁ = wi/m and v₀ = 1−v₁ —
-// so the two-objective baseline's floating point is bit-for-bit unchanged
-// (the generic c/m form can differ from 1−w in the last bit).
-func weightVectors(k, weights int) [][]float64 {
-	m := weights - 1
-	if k == 2 {
-		out := make([][]float64, weights)
-		for wi := 0; wi < weights; wi++ {
-			w := float64(wi) / float64(m)
-			out[wi] = []float64{1 - w, w}
-		}
-		return out
-	}
-	var out [][]float64
-	comp := make([]int, k)
-	var rec func(pos, left int)
-	rec = func(pos, left int) {
-		if pos == k-1 {
-			comp[pos] = left
-			v := make([]float64, k)
-			for i, c := range comp {
-				v[i] = float64(c) / float64(m)
-			}
-			out = append(out, v)
-			return
-		}
-		for c := 0; c <= left; c++ {
-			comp[pos] = c
-			rec(pos+1, left-c)
-		}
-	}
-	rec(0, m)
-	return out
-}
-
-// weightedReferenceExtras normalizes each extra objective's term to unit
-// scale the same way uRef normalizes utility: its canonical magnitude on a
-// mid-noise Warner matrix. Objectives that are zero or unevaluable on every
-// probe fall back to 1.
-func weightedReferenceExtras(cfg WeightedSumConfig) []float64 {
-	refs := make([]float64, len(cfg.Objectives))
-	for t := range refs {
-		refs[t] = 1
-	}
-	if len(refs) == 0 {
-		return refs
-	}
-	ws := metrics.NewWorkspace()
-	for _, p := range []float64{0.6, 0.7, 0.5} {
-		m, err := rr.Warner(len(cfg.Prior), p)
-		if err != nil {
-			continue
-		}
-		if _, err := ws.Evaluate(m, cfg.Prior, cfg.Records); err != nil {
-			continue
-		}
-		ok := true
-		for t, obj := range cfg.Objectives {
-			v, err := obj.Evaluate(ws, m, cfg.Prior, cfg.Records)
-			if err != nil || v == 0 || math.IsNaN(v) {
-				ok = false
-				break
-			}
-			refs[t] = math.Abs(v)
-		}
-		if ok {
-			return refs
-		}
-	}
-	for t := range refs {
-		refs[t] = 1
-	}
-	return refs
 }
 
 // weightedReferenceUtility normalizes the utility term to the privacy

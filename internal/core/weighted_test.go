@@ -36,6 +36,31 @@ func TestWeightedSumValidate(t *testing.T) {
 	}
 }
 
+// TestWeightedSumRejectsBadSizes: a negative sweep size, or a single weight
+// (whose w would be 0/0), is rejected by Validate and by OptimizeWeightedSum
+// before the sweep starts.
+func TestWeightedSumRejectsBadSizes(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*WeightedSumConfig)
+	}{
+		{"negative population", func(c *WeightedSumConfig) { c.PopulationSize = -3 }},
+		{"negative generations", func(c *WeightedSumConfig) { c.Generations = -1 }},
+		{"negative weights", func(c *WeightedSumConfig) { c.Weights = -2 }},
+		{"one weight", func(c *WeightedSumConfig) { c.Weights = 1 }},
+	}
+	for _, c := range cases {
+		cfg := quickWeighted()
+		c.mutate(&cfg)
+		if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: Validate err = %v, want ErrBadConfig", c.name, err)
+		}
+		if _, err := OptimizeWeightedSum(cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: OptimizeWeightedSum err = %v, want ErrBadConfig", c.name, err)
+		}
+	}
+}
+
 func TestWeightedSumProducesFeasibleFront(t *testing.T) {
 	res, err := OptimizeWeightedSum(quickWeighted())
 	if err != nil {

@@ -83,18 +83,12 @@ func KronZeros(dims []int) *Kron {
 // Size returns the side length N = ∏_d n_d of the implicit matrix.
 func (k *Kron) Size() int { return k.size }
 
-// NumFactors returns the number of Kronecker factors d.
-func (k *Kron) NumFactors() int { return len(k.factors) }
-
 // Dims returns a copy of the per-factor sizes.
 func (k *Kron) Dims() []int {
 	out := make([]int, len(k.dims))
 	copy(out, k.dims)
 	return out
 }
-
-// Factor returns factor d, aliasing the Kron's storage.
-func (k *Kron) Factor(d int) *Dense { return k.factors[d] }
 
 // At returns the implicit matrix entry (⊗F)[i][j] = ∏_d F_d[i_d][j_d] by
 // digit decomposition. It is O(d) per call and exists for tests and
@@ -336,64 +330,6 @@ func (k *Kron) checkDst(dst *Kron) error {
 		if dst.dims[d] != n {
 			return fmt.Errorf("%w: destination factor %d is %d, want %d", ErrShape, d, dst.dims[d], n)
 		}
-	}
-	return nil
-}
-
-// ColInto writes column j of the implicit matrix into dst (length N):
-// col_j(⊗F) = ⊗_d col_{j_d}(F_d), built by progressive outer-product
-// expansion in O(N) without materializing anything else.
-func (k *Kron) ColInto(dst []float64, j int) error {
-	if j < 0 || j >= k.size {
-		return fmt.Errorf("%w: column %d out of range for size %d", ErrShape, j, k.size)
-	}
-	cols := make([][]float64, len(k.factors))
-	for d := len(k.factors) - 1; d >= 0; d-- {
-		n := k.dims[d]
-		f := k.factors[d]
-		col := make([]float64, n)
-		for i := 0; i < n; i++ {
-			col[i] = f.data[i*n+(j%n)]
-		}
-		cols[d] = col
-		j /= n
-	}
-	return k.expandInto(dst, cols)
-}
-
-// DiagInto writes the diagonal of the implicit matrix into dst (length N):
-// diag(⊗F) = ⊗_d diag(F_d).
-func (k *Kron) DiagInto(dst []float64) error {
-	diags := make([][]float64, len(k.factors))
-	for d, f := range k.factors {
-		n := k.dims[d]
-		diag := make([]float64, n)
-		for i := 0; i < n; i++ {
-			diag[i] = f.data[i*n+i]
-		}
-		diags[d] = diag
-	}
-	return k.expandInto(dst, diags)
-}
-
-// expandInto fills dst with the flattened outer product ⊗_d vecs[d]
-// (factor 0 slowest). The expansion runs in place back to front, which is
-// safe because each pass writes only at or beyond the slot it reads.
-func (k *Kron) expandInto(dst []float64, vecs [][]float64) error {
-	if len(dst) != k.size {
-		return fmt.Errorf("%w: destination of length %d for size %d", ErrShape, len(dst), k.size)
-	}
-	dst[0] = 1
-	length := 1
-	for _, v := range vecs {
-		n := len(v)
-		for a := length - 1; a >= 0; a-- {
-			va := dst[a]
-			for i := n - 1; i >= 0; i-- {
-				dst[a*n+i] = va * v[i]
-			}
-		}
-		length *= n
 	}
 	return nil
 }

@@ -52,9 +52,6 @@ func TestKronValidates(t *testing.T) {
 	if k.Size() != 24 {
 		t.Fatalf("Size = %d, want 24", k.Size())
 	}
-	if k.NumFactors() != 3 {
-		t.Fatalf("NumFactors = %d, want 3", k.NumFactors())
-	}
 	if got := k.Dims(); len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 4 {
 		t.Fatalf("Dims = %v, want [2 3 4]", got)
 	}
@@ -230,37 +227,6 @@ func TestKronSquareInto(t *testing.T) {
 			if got := sq.At(i, j); math.Abs(got-v*v) > 1e-12*math.Max(1, v*v) {
 				t.Fatalf("sq[%d][%d] = %v, want %v", i, j, got, v*v)
 			}
-		}
-	}
-}
-
-func TestKronColAndDiag(t *testing.T) {
-	r := randx.New(23)
-	dims := []int{3, 2, 2}
-	k := mustKron(t, randomFactors(r, dims)...)
-	n := k.Size()
-	dense := k.Dense()
-	col := make([]float64, n)
-	for j := 0; j < n; j++ {
-		if err := k.ColInto(col, j); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if math.Abs(col[i]-dense.At(i, j)) > 1e-14 {
-				t.Fatalf("col %d[%d] = %v, want %v", j, i, col[i], dense.At(i, j))
-			}
-		}
-	}
-	if err := k.ColInto(col, n); !errors.Is(err, ErrShape) {
-		t.Fatalf("out-of-range col: err = %v, want ErrShape", err)
-	}
-	diag := make([]float64, n)
-	if err := k.DiagInto(diag); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if math.Abs(diag[i]-dense.At(i, i)) > 1e-14 {
-			t.Fatalf("diag[%d] = %v, want %v", i, diag[i], dense.At(i, i))
 		}
 	}
 }

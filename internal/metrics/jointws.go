@@ -212,7 +212,7 @@ func (ws *JointWorkspace) EvaluateWithin(ms []*rr.Matrix, joint []float64, recor
 	if err != nil {
 		return Evaluation{}, false, err
 	}
-	if mp > delta+1e-12 {
+	if mp > delta+BoundTolerance {
 		return Evaluation{}, false, nil
 	}
 	if err := ws.factoredInverse(); err != nil {
@@ -289,7 +289,7 @@ func (ws *JointWorkspace) MeetsBound(ms []*rr.Matrix, joint []float64, delta flo
 	if err != nil {
 		return false, err
 	}
-	return mp <= delta+1e-12, nil
+	return mp <= delta+BoundTolerance, nil
 }
 
 // Size returns the product-space cell count bound by the last successful

@@ -148,6 +148,11 @@ func MaxPosterior(m *rr.Matrix, prior []float64) (float64, error) {
 	return max, nil
 }
 
+// BoundTolerance is the slack of every δ check: a posterior p meets the
+// bound when p ≤ δ + BoundTolerance, so a matrix repaired onto δ exactly is
+// not rejected for the last bits of rounding.
+const BoundTolerance = 1e-12
+
 // MeetsBound reports whether m satisfies the privacy bound
 // max P(X | Y) ≤ delta under the given prior.
 func MeetsBound(m *rr.Matrix, prior []float64, delta float64) (bool, error) {
@@ -155,7 +160,7 @@ func MeetsBound(m *rr.Matrix, prior []float64, delta float64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return mp <= delta+1e-12, nil
+	return mp <= delta+BoundTolerance, nil
 }
 
 // BoundFloor returns the smallest achievable posterior bound for a prior:

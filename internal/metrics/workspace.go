@@ -159,5 +159,5 @@ func (ws *Workspace) MeetsBound(m *rr.Matrix, prior []float64, delta float64) (b
 	if err != nil {
 		return false, err
 	}
-	return mp <= delta+1e-12, nil
+	return mp <= delta+BoundTolerance, nil
 }

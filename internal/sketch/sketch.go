@@ -103,8 +103,12 @@ func New(domain, hashes, hashRange int, inner *rr.Matrix, hashSeed uint64) (*CMS
 		inner:    inner.Clone(),
 		inverse:  sync.OnceValues(lu.Inverse),
 	}
+	// Row j's coefficients are the first draws of randx.Stream(hashSeed, j).
+	// One Source is reseeded per row, so even maxHashes rows cost no
+	// allocation each.
+	var r randx.Source
 	for j := 0; j < hashes; j++ {
-		r := randx.Stream(hashSeed, uint64(j))
+		r.Seed(randx.StreamSeed(hashSeed, uint64(j)))
 		s.a[j] = 1 + r.Uint64()%(hashPrime-1)
 		s.b[j] = r.Uint64() % hashPrime
 	}

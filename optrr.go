@@ -256,9 +256,6 @@ func OptimizeContext(ctx context.Context, p Problem) (*Result, error) {
 	if p.Metrics != nil {
 		cfg.Metrics = p.Metrics
 	}
-	if cfg.OmegaSize == 0 && p.Advanced == nil {
-		cfg.OmegaSize = 1000
-	}
 	if len(p.ExtraObjectives) > 0 {
 		objs, err := resolveObjectives(p.ExtraObjectives)
 		if err != nil {

@@ -18,7 +18,6 @@ func testProblem() Problem {
 			ArchiveSize:    16,
 			OmegaSize:      200,
 			Generations:    80,
-			Normalize:      true,
 		},
 	}
 }

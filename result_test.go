@@ -184,7 +184,6 @@ func TestOptimizeTriObjectiveEndToEnd(t *testing.T) {
 			PopulationSize: 16,
 			ArchiveSize:    16,
 			OmegaSize:      200,
-			Normalize:      true,
 		},
 		ExtraObjectives: []string{"ldp"},
 	})
