@@ -45,9 +45,13 @@
 #                  equals json.Marshal and round-trips), on SPEA2
 #                  fitness assignment over 2–6 objectives (a warm Scratch
 #                  equals a fresh one and the reference implementation bit
-#                  for bit), and on the Kronecker contraction kernels
+#                  for bit), on the Kronecker contraction kernels
 #                  (MulVecInto and the fused sum/max product equal the
 #                  row-axpy oracle bit for bit for 1–4 factors of size 1–7)
+#                  and on the single-attribute evaluation workspace
+#                  (Evaluate, EvaluateWithin and the package-level metrics
+#                  equal the formula-by-formula test oracle bit for bit on
+#                  matrices and priors of order 2–9 built from the input)
 #   results        the whole paper reproduction: cmd/experiments at its
 #                  default budget (about 40 s) regenerates every CSV into a
 #                  temporary directory, every shape check must pass, and the
@@ -123,7 +127,7 @@ echo "== go test -race (parallel paths) =="
 go test -race -run 'Parallel|Grid|Batch|Stream|Tuple' \
     ./internal/experiments ./internal/dataset ./internal/mining
 
-echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, scheme body, batch codec, SPEA2 fitness, Kronecker contraction) =="
+echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, scheme body, batch codec, SPEA2 fitness, Kronecker contraction, evaluation workspace) =="
 go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 5s ./internal/sketch
 go test -run '^$' -fuzz '^FuzzUnmarshalScheme$' -fuzztime 5s ./internal/sketch
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 5s ./internal/collector
@@ -131,6 +135,7 @@ go test -run '^$' -fuzz '^FuzzDecodeSchemeResponse$' -fuzztime 5s ./internal/rra
 go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 5s ./internal/rrapi
 go test -run '^$' -fuzz '^FuzzAssignFitnessKDim$' -fuzztime 5s ./internal/emoo
 go test -run '^$' -fuzz '^FuzzKronContract$' -fuzztime 5s ./internal/matrix
+go test -run '^$' -fuzz '^FuzzWorkspaceEvaluate$' -fuzztime 5s ./internal/metrics
 
 echo "== results (paper reproduction, byte for byte) =="
 repro=$(mktemp -d)

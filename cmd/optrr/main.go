@@ -309,7 +309,7 @@ func validateFlags(records int, delta float64, generations, collectN, workers, i
 	if records <= 0 {
 		return fmt.Errorf("-records must be positive, got %d", records)
 	}
-	if delta <= 0 || delta > 1 {
+	if !(delta > 0 && delta <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("-delta must be in (0, 1], got %v", delta)
 	}
 	if generations <= 0 {
@@ -356,44 +356,14 @@ func resolvePrior(priorFlag, distFlag, dataFlag string, n int) ([]float64, error
 		}
 		return prior, nil
 	case distFlag != "":
-		var g dataset.Generator
-		switch distFlag {
-		case "normal":
-			g = dataset.DefaultNormal(n)
-		case "gamma":
-			g = dataset.GammaGenerator(1, 2)
-		case "uniform":
-			g = dataset.UniformGenerator()
-		case "zipf":
-			g = dataset.ZipfGenerator(1)
-		case "bimodal":
-			g = dataset.BimodalGenerator()
-		case "adult":
-			g = dataset.DefaultAdult().Generator()
-		default:
+		g, ok := dataset.NamedGenerator(distFlag, n)
+		if !ok {
 			return nil, fmt.Errorf("unknown -dist %q", distFlag)
 		}
 		return g.Prior(n), nil
 	default:
-		f, err := os.Open(dataFlag)
+		recs, err := dataset.ReadIndices(dataFlag)
 		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		var recs []int
-		sc := bufio.NewScanner(f)
-		for line := 1; sc.Scan(); line++ {
-			text := strings.TrimSpace(sc.Text())
-			if text == "" || strings.HasPrefix(text, "#") {
-				continue
-			}
-			v, err := strconv.Atoi(text)
-			if err != nil {
-				return nil, fmt.Errorf("%s:%d: %v", dataFlag, line, err)
-			}
-			recs = append(recs, v)
-		}
-		if err := sc.Err(); err != nil {
 			return nil, err
 		}
 		d, err := dataset.NewCategorical(n, recs)

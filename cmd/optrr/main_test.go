@@ -118,6 +118,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative records", records: -5, delta: 0.8, generations: 3000},
 		{name: "zero delta", records: 10000, delta: 0, generations: 3000},
 		{name: "delta above one", records: 10000, delta: 1.5, generations: 3000},
+		{name: "NaN delta", records: 10000, delta: math.NaN(), generations: 3000},
 		{name: "zero generations", records: 10000, delta: 0.8, generations: 0},
 		{name: "negative collect", records: 10000, delta: 0.8, generations: 3000, collectN: -1},
 		{name: "negative workers", records: 10000, delta: 0.8, generations: 3000, workers: -1},

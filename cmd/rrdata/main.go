@@ -108,21 +108,8 @@ func main() {
 		return
 	}
 
-	var g dataset.Generator
-	switch *dist {
-	case "normal":
-		g = dataset.DefaultNormal(*categories)
-	case "gamma":
-		g = dataset.GammaGenerator(1, 2)
-	case "uniform":
-		g = dataset.UniformGenerator()
-	case "zipf":
-		g = dataset.ZipfGenerator(1)
-	case "bimodal":
-		g = dataset.BimodalGenerator()
-	case "adult":
-		g = dataset.DefaultAdult().Generator()
-	default:
+	g, ok := dataset.NamedGenerator(*dist, *categories)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown -dist %q\n", *dist)
 		os.Exit(2)
 	}
@@ -262,25 +249,8 @@ func disguiseFile(path string, n int, p float64, seed uint64, workers int, out *
 	if err != nil {
 		return 0, err
 	}
-	f, err := os.Open(path)
+	recs, err := dataset.ReadIndices(path)
 	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var recs []int
-	sc := bufio.NewScanner(f)
-	for line := 1; sc.Scan(); line++ {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		v, err := strconv.Atoi(text)
-		if err != nil {
-			return 0, fmt.Errorf("%s:%d: %v", path, line, err)
-		}
-		recs = append(recs, v)
-	}
-	if err := sc.Err(); err != nil {
 		return 0, err
 	}
 	disguised, err := m.DisguiseBatch(recs, seed, workers)

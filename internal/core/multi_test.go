@@ -48,6 +48,7 @@ func TestMultiConfigValidate(t *testing.T) {
 		{"joint sum", func(c *MultiConfig) { c.Joint = []float64{0.5, 0.2, 0.1, 0.1, 0.05, 0.5} }, ErrBadConfig},
 		{"records", func(c *MultiConfig) { c.Records = 0 }, ErrBadConfig},
 		{"delta", func(c *MultiConfig) { c.Delta = 0 }, ErrBadConfig},
+		{"delta NaN", func(c *MultiConfig) { c.Delta = math.NaN() }, ErrBadConfig},
 		{"delta below joint mode", func(c *MultiConfig) { c.Delta = 0.2 }, ErrInfeasibleBound},
 		{"negative population", func(c *MultiConfig) { c.PopulationSize = -1 }, ErrBadConfig},
 		{"negative archive", func(c *MultiConfig) { c.ArchiveSize = -1 }, ErrBadConfig},

@@ -278,7 +278,7 @@ func validateSearch(what string, dist []float64, records int, delta float64, siz
 	if records <= 0 {
 		return fmt.Errorf("%w: records = %d", ErrBadConfig, records)
 	}
-	if delta <= 0 || delta > 1 {
+	if !(delta > 0 && delta <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("%w: delta = %v outside (0, 1]", ErrBadConfig, delta)
 	}
 	if floor := metrics.BoundFloor(dist); floor > delta+metrics.BoundTolerance {
@@ -640,46 +640,44 @@ func (o *Optimizer) initialPopulation(size int, r *randx.Source) []Genome {
 	return genomes
 }
 
-// realizeGenome repairs (or, under BoundReject, screens) g and evaluates it
-// through worker w's persistent workerScratch: the fused privacy/utility
-// evaluation, the extra objectives, and PrivacyFn when set.
+// realizeGenome materializes g and evaluates it within the bound through
+// worker w's persistent workerScratch, which costs one posterior sweep when
+// g meets the bound. A genome that misses it is rejected under BoundReject;
+// otherwise it is repaired, re-materialized and evaluated. The extra
+// objectives and PrivacyFn, when set, run last.
 func (o *Optimizer) realizeGenome(g Genome, w int) (Individual, genomeOutcome) {
 	cfg := o.cfg
 	sc := o.workers[w]
 	var c genomeOutcome
-	var m *rr.Matrix
-	switch cfg.BoundMode {
-	case BoundReject:
-		var err error
-		m, err = sc.matrixFor(g)
-		if err != nil {
-			return Individual{}, c
-		}
-		holds, err := sc.ws.MeetsBound(m, cfg.Prior, cfg.Delta)
-		if err != nil || !holds {
+	m, err := sc.matrixFor(g)
+	if err != nil {
+		return Individual{}, c
+	}
+	ev, ok, err := sc.ws.EvaluateWithin(m, cfg.Prior, cfg.Records, cfg.Delta)
+	if err != nil {
+		return Individual{}, c // singular: inversion utility undefined
+	}
+	if !ok {
+		if cfg.BoundMode == BoundReject {
 			c.rejected = true
 			return Individual{}, c
 		}
-	default:
 		feasible, rst := meetBoundStats(g, cfg.Prior, cfg.Delta, cfg.SymmetricOnly, sc.slackFor(g.N()))
 		c.repaired = rst.Rounds > 0 || rst.Blended
 		c.pushBack = rst.PushBack
 		if !feasible {
 			return Individual{}, c
 		}
-		var err error
-		m, err = sc.matrixFor(g)
-		if err != nil {
+		if m, err = sc.matrixFor(g); err != nil {
+			return Individual{}, c
+		}
+		if ev, err = sc.ws.Evaluate(m, cfg.Prior, cfg.Records); err != nil {
 			return Individual{}, c
 		}
 	}
-	ev, err := sc.ws.Evaluate(m, cfg.Prior, cfg.Records)
-	if err != nil {
-		return Individual{}, c // singular: inversion utility undefined
-	}
 	// Extra objectives run while the workspace still holds this matrix's
-	// P* and inverse; a failing objective voids the individual like a
-	// singular matrix does.
+	// P*, inverse and per-category MSE; a failing objective voids the
+	// individual like a singular matrix does.
 	ev.Extra, err = evalExtras(sc.ws, m, cfg.Prior, cfg.Records, cfg.Objectives)
 	if err != nil {
 		return Individual{}, c

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"optrr/internal/metrics"
 	"optrr/internal/obs"
 	"optrr/internal/pareto"
+	"optrr/internal/randx"
 	"optrr/internal/rr"
 )
 
@@ -43,6 +45,7 @@ func TestConfigValidate(t *testing.T) {
 		{"records", func(c *Config) { c.Records = 0 }, ErrBadConfig},
 		{"delta zero", func(c *Config) { c.Delta = 0 }, ErrBadConfig},
 		{"delta big", func(c *Config) { c.Delta = 1.5 }, ErrBadConfig},
+		{"delta NaN", func(c *Config) { c.Delta = math.NaN() }, ErrBadConfig},
 		{"delta below mode", func(c *Config) { c.Delta = 0.2 }, ErrInfeasibleBound},
 		{"negative size", func(c *Config) { c.Generations = -1 }, ErrBadConfig},
 	}
@@ -556,7 +559,7 @@ func TestOptRRDominatesWarner(t *testing.T) {
 
 func BenchmarkGeneration(b *testing.B) {
 	prior := testPrior()
-	cfg := DefaultConfig(prior, 10000, 0.8)
+	cfg := DefaultConfig(prior, 10000, 0.4)
 	cfg.PopulationSize = 40
 	cfg.ArchiveSize = 40
 	cfg.Generations = b.N
@@ -568,5 +571,140 @@ func BenchmarkGeneration(b *testing.B) {
 	b.ResetTimer()
 	if _, err := opt.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// optimizerRealizeOracle realizes g in the order that repairs before it
+// sweeps: meetBoundStats, then materialize and Evaluate; under BoundReject,
+// materialize, check the package-level metrics.MeetsBound, then Evaluate.
+// The extra objectives follow as in realizeGenome. realizeGenome must agree
+// with it bit for bit.
+func optimizerRealizeOracle(cfg Config, sc *workerScratch, g Genome) (Individual, genomeOutcome) {
+	var c genomeOutcome
+	var m *rr.Matrix
+	var err error
+	if cfg.BoundMode == BoundReject {
+		if m, err = sc.matrixFor(g); err != nil {
+			return Individual{}, c
+		}
+		if holds, err := metrics.MeetsBound(m, cfg.Prior, cfg.Delta); err != nil || !holds {
+			c.rejected = true
+			return Individual{}, c
+		}
+	} else {
+		feasible, rst := meetBoundStats(g, cfg.Prior, cfg.Delta, cfg.SymmetricOnly, sc.slackFor(g.N()))
+		c.repaired = rst.Rounds > 0 || rst.Blended
+		c.pushBack = rst.PushBack
+		if !feasible {
+			return Individual{}, c
+		}
+		if m, err = sc.matrixFor(g); err != nil {
+			return Individual{}, c
+		}
+	}
+	ev, err := sc.ws.Evaluate(m, cfg.Prior, cfg.Records)
+	if err != nil {
+		return Individual{}, c
+	}
+	if ev.Extra, err = evalExtras(sc.ws, m, cfg.Prior, cfg.Records, cfg.Objectives); err != nil {
+		return Individual{}, c
+	}
+	c.ok = true
+	return Individual{Genome: g, Eval: ev}, c
+}
+
+// TestOptimizerRealizeMatchesOracle runs 600 genomes per mode through
+// realizeGenome and optimizerRealizeOracle on separate scratches: the
+// outcomes, the repaired genomes, the evaluations (extra objectives
+// included) and the repair, reject and push-back tallies must agree bit for
+// bit. δ sits 0.1 above the prior mode, where most random genomes miss it,
+// and a third of the genomes are diagonals a little above uniform, most of
+// which meet it, so every mode runs both branches.
+func TestOptimizerRealizeMatchesOracle(t *testing.T) {
+	prior := []float64{0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05}
+	bits := math.Float64bits
+	for _, mode := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"repair", func(*Config) {}},
+		{"reject", func(c *Config) { c.BoundMode = BoundReject }},
+		{"symmetric", func(c *Config) { c.SymmetricOnly = true }},
+		{"repair with extras", func(c *Config) {
+			for _, name := range []string{"worst-mse", "mutual-information", "ldp-epsilon"} {
+				o, ok := metrics.ObjectiveByName(name)
+				if !ok {
+					t.Fatalf("objective %q not registered", name)
+				}
+				c.Objectives = append(c.Objectives, o)
+			}
+		}},
+	} {
+		cfg := DefaultConfig(prior, 10000, 0.4)
+		cfg.Workers = 1
+		mode.mutate(&cfg)
+		o, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := newWorkerScratch()
+		r := randx.New(83)
+		var got, want generationTally
+		var met, missed int
+		for trial := 0; trial < 600; trial++ {
+			label := fmt.Sprintf("%s trial %d", mode.name, trial)
+			g := o.randomGenome(r)
+			switch trial % 3 {
+			case 1:
+				o.mutate(g, r)
+			case 2:
+				n := len(prior)
+				g = diagonalGenome(n, 1/float64(n)+0.3*r.Float64())
+			}
+			o.project(g)
+			gotG, wantG := g.Clone(), g.Clone()
+			ind, oc := o.realizeGenome(gotG, 0)
+			wantInd, wantOC := optimizerRealizeOracle(o.cfg, oracle, wantG)
+			if oc.ok != wantOC.ok || oc.repaired != wantOC.repaired || oc.rejected != wantOC.rejected ||
+				bits(oc.pushBack) != bits(wantOC.pushBack) {
+				t.Fatalf("%s: outcome %+v, oracle %+v", label, oc, wantOC)
+			}
+			for c, col := range wantG {
+				for j, v := range col {
+					if bits(gotG[c][j]) != bits(v) {
+						t.Fatalf("%s: genome[%d][%d] = %v, oracle %v", label, c, j, gotG[c][j], v)
+					}
+				}
+			}
+			if oc.ok {
+				a, b := ind.Eval, wantInd.Eval
+				same := bits(a.Privacy) == bits(b.Privacy) && bits(a.Utility) == bits(b.Utility) &&
+					bits(a.MaxPosterior) == bits(b.MaxPosterior) && len(a.Extra) == len(b.Extra) &&
+					len(a.Extra) == len(cfg.Objectives)
+				for k := 0; same && k < len(a.Extra); k++ {
+					same = bits(a.Extra[k]) == bits(b.Extra[k])
+				}
+				if !same {
+					t.Fatalf("%s: eval %+v, oracle %+v", label, a, b)
+				}
+				if &ind.Genome[0][0] != &gotG[0][0] {
+					t.Fatalf("%s: the individual does not carry the realized genome", label)
+				}
+			}
+			got.add(oc)
+			want.add(wantOC)
+			if oc.repaired || oc.rejected {
+				missed++
+			} else if oc.ok {
+				met++
+			}
+		}
+		if got != want {
+			t.Fatalf("%s: tally %+v, oracle %+v", mode.name, got, want)
+		}
+		t.Logf("%s: %d met the bound, %d missed it; tally %+v", mode.name, met, missed, got)
+		if met == 0 || missed == 0 {
+			t.Fatalf("%s: %d met the bound and %d missed it; both branches must run", mode.name, met, missed)
+		}
 	}
 }

@@ -91,10 +91,10 @@ func BenchmarkRepair(b *testing.B) {
 	}
 }
 
-// BenchmarkRealizeSteadyState measures the full per-genome hot path the
-// optimizer runs every generation — materialize, repair, fused evaluate —
-// through one worker's persistent scratch. Steady-state allocs/op should be
-// zero.
+// BenchmarkRealizeSteadyState measures the per-genome hot path the
+// optimizer runs every generation — realizeGenome: materialize, evaluate
+// within the bound, and repair and re-evaluate on a miss — through one
+// worker's persistent scratch. Steady-state allocs/op should be zero.
 func BenchmarkRealizeSteadyState(b *testing.B) {
 	for _, n := range []int{4, 8, 16} {
 		r := randx.New(uint64(n))
@@ -112,25 +112,21 @@ func BenchmarkRealizeSteadyState(b *testing.B) {
 			pool[i] = NewRandomGenome(n, r)
 		}
 		work := NewRandomGenome(n, r)
+		cfg := DefaultConfig(prior, 10000, 0.8)
+		cfg.Workers = 1
+		o, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sc := newWorkerScratch()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				src := pool[i%len(pool)]
 				for c := range src {
 					copy(work[c], src[c])
 				}
-				if ok, _ := meetBoundStats(work, prior, 0.8, false, sc.slackFor(n)); !ok {
-					continue
-				}
-				m, err := sc.matrixFor(work)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sc.ws.Evaluate(m, prior, 10000); err != nil {
-					b.Fatal(err)
-				}
+				o.realizeGenome(work, 0)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"optrr/internal/metrics"
@@ -33,6 +34,16 @@ func TestWeightedSumValidate(t *testing.T) {
 	cfg.Records = 0
 	if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v", err)
+	}
+	// NaN fails every comparison, so it must be refused as a bad delta
+	// before the sweep, not found infeasible after it.
+	cfg = quickWeighted()
+	cfg.Delta = math.NaN()
+	if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("NaN delta: err = %v", err)
+	}
+	if _, err := OptimizeWeightedSum(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("NaN delta: OptimizeWeightedSum err = %v", err)
 	}
 }
 

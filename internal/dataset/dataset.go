@@ -7,11 +7,15 @@
 package dataset
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -45,6 +49,35 @@ func NewCategorical(n int, records []int) (*Categorical, error) {
 		}
 	}
 	return &Categorical{n: n, records: records}, nil
+}
+
+// ReadIndices reads a data file of one category index per line, skipping
+// blank lines and lines that start with '#'. A parse error names the file
+// and line as path:line. The indices are not range-checked; NewCategorical
+// does that.
+func ReadIndices(path string) ([]int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var recs []int
+	sc := bufio.NewScanner(f)
+	for line := 1; sc.Scan(); line++ {
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		v, err := strconv.Atoi(text)
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
+		}
+		recs = append(recs, v)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return recs, nil
 }
 
 // Categories returns the number of categories n.

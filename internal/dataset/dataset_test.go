@@ -3,6 +3,9 @@ package dataset
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -485,5 +488,63 @@ func TestSampleBatchConvergesToPrior(t *testing.T) {
 func TestSampleBatchRejectsBadPrior(t *testing.T) {
 	if _, err := SampleBatch([]float64{0.5, 0.6}, 10, 1, 1); !errors.Is(err, ErrBadDistribution) {
 		t.Fatalf("err = %v, want ErrBadDistribution", err)
+	}
+}
+
+// TestNamedGenerator pins the -dist table: every name resolves to the
+// generator it stands for, and any other name is refused.
+func TestNamedGenerator(t *testing.T) {
+	const n = 10
+	for name, want := range map[string]Generator{
+		"normal":  DefaultNormal(n),
+		"gamma":   GammaGenerator(1, 2),
+		"uniform": UniformGenerator(),
+		"zipf":    ZipfGenerator(1),
+		"bimodal": BimodalGenerator(),
+		"adult":   DefaultAdult().Generator(),
+	} {
+		g, ok := NamedGenerator(name, n)
+		if !ok || g.Name != want.Name {
+			t.Fatalf("%s: got %q (ok %v), want %q", name, g.Name, ok, want.Name)
+		}
+		got, wantPrior := g.Prior(n), want.Prior(n)
+		for i := range wantPrior {
+			if got[i] != wantPrior[i] {
+				t.Fatalf("%s: prior[%d] = %v, want %v", name, i, got[i], wantPrior[i])
+			}
+		}
+	}
+	for _, name := range []string{"", "Normal", "poisson"} {
+		if _, ok := NamedGenerator(name, n); ok {
+			t.Fatalf("%q resolved", name)
+		}
+	}
+}
+
+// TestReadIndices covers the one-index-per-line reader: blank and '#' lines
+// are skipped, surrounding space is trimmed, and a bad line is reported as
+// path:line.
+func TestReadIndices(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.txt")
+	if err := os.WriteFile(good, []byte("# header\n2\n\n  0 \n# note\n7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadIndices(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[0] != 2 || recs[1] != 0 || recs[2] != 7 {
+		t.Fatalf("records = %v, want [2 0 7]", recs)
+	}
+	bad := filepath.Join(dir, "bad.txt")
+	if err := os.WriteFile(bad, []byte("1\n\nseven\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadIndices(bad); err == nil || !strings.HasPrefix(err.Error(), bad+":3: ") {
+		t.Fatalf("bad line: err = %v, want a %s:3 prefix", err, bad)
+	}
+	if _, err := ReadIndices(filepath.Join(dir, "missing.txt")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: err = %v", err)
 	}
 }

@@ -28,6 +28,28 @@ func (g Generator) Generate(n, records int, r *randx.Source) (*Categorical, erro
 	return Sample(p, records, r)
 }
 
+// NamedGenerator returns the generator a CLI's -dist flag names: normal
+// (DefaultNormal over n categories), gamma (α = 1, β = 2), uniform, zipf
+// (s = 1), bimodal or adult (DefaultAdult). It reports false for any other
+// name.
+func NamedGenerator(name string, n int) (Generator, bool) {
+	switch name {
+	case "normal":
+		return DefaultNormal(n), true
+	case "gamma":
+		return GammaGenerator(1, 2), true
+	case "uniform":
+		return UniformGenerator(), true
+	case "zipf":
+		return ZipfGenerator(1), true
+	case "bimodal":
+		return BimodalGenerator(), true
+	case "adult":
+		return DefaultAdult().Generator(), true
+	}
+	return Generator{}, false
+}
+
 // NormalGenerator returns the paper's "normal distribution" prior: a normal
 // density with the given mean and standard deviation evaluated at category
 // midpoints 0..n-1 and normalized. The paper's Figure 4 data sets use a bell

@@ -37,19 +37,32 @@ func MutualInformation(m *rr.Matrix, prior []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	hy := Entropy(pStar)
+	return mutualInformation(m, prior, pStar), nil
+}
+
+// mutualInformation is I(X;Y) from an already-computed P* = M·P, walking
+// each column's entropy straight off the matrix. It is shared by
+// MutualInformation and the mutual-information objective.
+func mutualInformation(m *rr.Matrix, prior, pStar []float64) float64 {
+	n := m.N()
 	var hyGivenX float64
 	for x, px := range prior {
 		if px == 0 {
 			continue
 		}
-		hyGivenX += px * Entropy(m.Column(x))
+		var h float64
+		for j := 0; j < n; j++ {
+			if v := m.Theta(j, x); v > 0 {
+				h -= v * math.Log2(v)
+			}
+		}
+		hyGivenX += px * h
 	}
-	mi := hy - hyGivenX
+	mi := Entropy(pStar) - hyGivenX
 	if mi < 0 {
 		mi = 0 // round-off guard: MI is non-negative
 	}
-	return mi, nil
+	return mi
 }
 
 // NormalizedLeakage returns I(X;Y)/H(X) ∈ [0, 1]: the fraction of the

@@ -104,48 +104,23 @@ func MAPEstimate(m *rr.Matrix, prior []float64) ([]int, error) {
 // accuracy A = Σ_j max_i θ_{j,i}·P(c_i). This equals
 // Σ_Y P(X̂_Y | Y)·P(Y) and, by Bayes' rule, Σ_Y P(Y | X̂_Y)·P(X̂_Y).
 func Accuracy(m *rr.Matrix, prior []float64) (float64, error) {
-	if err := validatePrior(m, prior); err != nil {
+	ws := NewWorkspace()
+	if err := ws.bind(m, prior); err != nil {
 		return 0, err
 	}
-	n := m.N()
-	var a float64
-	for j := 0; j < n; j++ {
-		var best float64
-		for i := 0; i < n; i++ {
-			if v := m.Theta(j, i) * prior[i]; v > best {
-				best = v
-			}
-		}
-		a += best
-	}
+	a, _ := ws.mapSweep(m, prior)
 	return a, nil
 }
 
 // Privacy returns 1 − A (Equation 8). Larger is better for privacy.
 func Privacy(m *rr.Matrix, prior []float64) (float64, error) {
-	a, err := Accuracy(m, prior)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - a, nil
+	return NewWorkspace().Privacy(m, prior)
 }
 
 // MaxPosterior returns max_{Y,X} P(X | Y), the worst-case per-record
 // estimation accuracy that Equation (9) bounds by δ.
 func MaxPosterior(m *rr.Matrix, prior []float64) (float64, error) {
-	post, err := Posterior(m, prior)
-	if err != nil {
-		return 0, err
-	}
-	var max float64
-	for _, row := range post {
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return max, nil
+	return NewWorkspace().MaxPosterior(m, prior)
 }
 
 // BoundTolerance is the slack of every δ check: a posterior p meets the
@@ -156,11 +131,7 @@ const BoundTolerance = 1e-12
 // MeetsBound reports whether m satisfies the privacy bound
 // max P(X | Y) ≤ delta under the given prior.
 func MeetsBound(m *rr.Matrix, prior []float64, delta float64) (bool, error) {
-	mp, err := MaxPosterior(m, prior)
-	if err != nil {
-		return false, err
-	}
-	return mp <= delta+BoundTolerance, nil
+	return NewWorkspace().MeetsBound(m, prior, delta)
 }
 
 // BoundFloor returns the smallest achievable posterior bound for a prior:
@@ -181,28 +152,7 @@ func BoundFloor(prior []float64) float64 {
 // returns rr.ErrSingular for non-invertible matrices, for which the
 // inversion estimator is undefined.
 func Utility(m *rr.Matrix, prior []float64, records int) (float64, error) {
-	mses, err := PerCategoryMSE(m, prior, records)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, v := range mses {
-		sum += v
-	}
-	return sum / float64(len(mses)), nil
-}
-
-// PerCategoryMSE returns the closed-form MSE of the inversion estimate of
-// each category probability (Theorem 6; see rr.Matrix.InversionMSE) for a
-// data set of records records drawn from the prior.
-func PerCategoryMSE(m *rr.Matrix, prior []float64, records int) ([]float64, error) {
-	if records <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadRecords, records)
-	}
-	if err := validatePrior(m, prior); err != nil {
-		return nil, err
-	}
-	return m.InversionMSE(prior, records)
+	return NewWorkspace().Utility(m, prior, records)
 }
 
 // Evaluation bundles the objectives for one RR matrix under a fixed prior
@@ -222,9 +172,9 @@ type Evaluation struct {
 	Extra []float64
 }
 
-// Evaluate computes both objectives and the bound value in one pass. It runs
-// the fused single-sweep evaluator on a throwaway Workspace; callers in hot
-// loops should hold a Workspace of their own and call its Evaluate directly.
+// Evaluate computes both objectives and the bound value in one pass on a
+// throwaway Workspace; callers in hot loops should hold a Workspace of their
+// own and call its Evaluate directly.
 func Evaluate(m *rr.Matrix, prior []float64, records int) (Evaluation, error) {
 	return NewWorkspace().Evaluate(m, prior, records)
 }

@@ -270,7 +270,7 @@ func TestUtilityIdentityIsZero(t *testing.T) {
 	// themselves remains. For identity M, MSE(c_k) = P_k(1−P_k)/N.
 	prior := []float64{0.5, 0.3, 0.2}
 	const n = 1000
-	mses, err := PerCategoryMSE(rr.Identity(3), prior, n)
+	mses, err := rr.Identity(3).InversionMSE(prior, n)
 	if err != nil {
 		t.Fatal(err)
 	}

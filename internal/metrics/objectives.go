@@ -194,7 +194,7 @@ const LDPEpsilonCap = 64.0
 //	                                   the workspace's P*.
 //	worst-mse                        — minimized; the largest per-category
 //	                                   MSE (Theorem 6), reusing the
-//	                                   workspace's P* and inverse.
+//	                                   workspace's per-category MSE.
 func init() {
 	mustRegister := func(o Objective, aliases ...string) {
 		if err := RegisterObjective(o); err != nil {
@@ -220,55 +220,19 @@ func evalLDPEpsilon(_ *Workspace, m *rr.Matrix, _ []float64, _ int) (float64, er
 	return eps, nil
 }
 
-// evalMutualInformation is the mutual-information built-in: I(X;Y) in bits,
-// computed from the workspace's P* — the same arithmetic as the package
-// MutualInformation with the DisguisedDistribution recomputation elided and
-// the column entropies read straight off the matrix (Column copies; Theta
-// walks the same entries in the same order without allocating).
+// evalMutualInformation is the mutual-information built-in: I(X;Y) in bits
+// from the workspace's P*, with the arithmetic of MutualInformation.
 func evalMutualInformation(ws *Workspace, m *rr.Matrix, prior []float64, _ int) (float64, error) {
-	n := m.N()
-	hy := Entropy(ws.PStar())
-	var hyGivenX float64
-	for x, px := range prior {
-		if px == 0 {
-			continue
-		}
-		var h float64
-		for j := 0; j < n; j++ {
-			if v := m.Theta(j, x); v > 0 {
-				h -= v * math.Log2(v)
-			}
-		}
-		hyGivenX += px * h
-	}
-	mi := hy - hyGivenX
-	if mi < 0 {
-		mi = 0 // round-off guard: MI is non-negative
-	}
-	return mi, nil
+	return mutualInformation(m, prior, ws.PStar()), nil
 }
 
 // evalWorstMSE is the worst-mse built-in: the largest per-category MSE of
 // the inversion estimate (Theorem 6) — the fairness companion of the
-// average the utility objective minimizes — computed from the workspace's
-// P* and inverse with the exact per-category arithmetic of PerCategoryMSE.
-func evalWorstMSE(ws *Workspace, m *rr.Matrix, _ []float64, records int) (float64, error) {
-	n := m.N()
-	pStar := ws.PStar()
-	inv := ws.Inverse()
-	invN := 1 / float64(records)
+// average the utility objective minimizes — read from the per-category MSE
+// the workspace's last Evaluate left behind.
+func evalWorstMSE(ws *Workspace, _ *rr.Matrix, _ []float64, _ int) (float64, error) {
 	worst := math.Inf(-1)
-	for k := 0; k < n; k++ {
-		var quad, mean float64
-		bk := inv.RowView(k)
-		for i, b := range bk {
-			quad += b * b * pStar[i]
-			mean += b * pStar[i]
-		}
-		mse := invN * (quad - mean*mean)
-		if mse < 0 {
-			mse = 0 // guard against round-off on near-deterministic matrices
-		}
+	for _, mse := range ws.mse {
 		if mse > worst {
 			worst = mse
 		}

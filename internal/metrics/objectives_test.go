@@ -67,7 +67,7 @@ func TestBuiltinObjectivesMatchPackageFunctions(t *testing.T) {
 		}
 
 		gotWorst := evalOn(t, ws, "worst-mse", m, prior, records)
-		mses, err := PerCategoryMSE(m, prior, records)
+		mses, err := m.InversionMSE(prior, records)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,23 +10,74 @@ import (
 // Test oracles: slow, obviously correct reference implementations that the
 // fused and Kronecker-factored production paths are pinned against.
 
-// EvaluateComposed computes the same Evaluation as Evaluate through the three
-// standalone metric functions: the reference the fused Workspace path is
-// tested against, and the slow side of BenchmarkEvaluate/composed.
+// EvaluateComposed computes the same Evaluation as Evaluate by spelling each
+// formula out, sharing nothing with the workspace: Equation 8 by its double
+// sum, Equation 9 as the largest entry of Posterior, and Theorem 6 from a
+// fresh m.Inverse(). It is the reference the fused Workspace path is tested
+// against, and the slow side of BenchmarkEvaluate/composed.
 func EvaluateComposed(m *rr.Matrix, prior []float64, records int) (Evaluation, error) {
-	priv, err := Privacy(m, prior)
+	mp, err := posteriorMax(m, prior)
 	if err != nil {
 		return Evaluation{}, err
 	}
-	util, err := Utility(m, prior, records)
+	if records <= 0 {
+		return Evaluation{}, fmt.Errorf("%w: %d", ErrBadRecords, records)
+	}
+	n := m.N()
+	// Equation 8: A = Σ_j max_i θ_{j,i}·P_i.
+	var a float64
+	for j := 0; j < n; j++ {
+		var best float64
+		for i := 0; i < n; i++ {
+			if v := m.Theta(j, i) * prior[i]; v > best {
+				best = v
+			}
+		}
+		a += best
+	}
+	// Theorem 6: MSE(c_k) = (Σ_i β²_{k,i}·P*_i − (Σ_i β_{k,i}·P*_i)²)/N.
+	beta, err := m.Inverse()
 	if err != nil {
 		return Evaluation{}, err
 	}
-	mp, err := MaxPosterior(m, prior)
+	pStar, err := m.DisguisedDistribution(prior)
 	if err != nil {
 		return Evaluation{}, err
 	}
-	return Evaluation{Privacy: priv, Utility: util, MaxPosterior: mp}, nil
+	invN := 1 / float64(records)
+	var sum float64
+	for k := 0; k < n; k++ {
+		var quad, mean float64
+		for i := 0; i < n; i++ {
+			b := beta.At(k, i)
+			quad += b * b * pStar[i]
+			mean += b * pStar[i]
+		}
+		mse := invN * (quad - mean*mean)
+		if mse < 0 {
+			mse = 0 // round-off on near-deterministic matrices
+		}
+		sum += mse
+	}
+	return Evaluation{Privacy: 1 - a, Utility: sum / float64(n), MaxPosterior: mp}, nil
+}
+
+// posteriorMax is Equation 9 by brute force: the largest entry of the
+// materialized posterior matrix.
+func posteriorMax(m *rr.Matrix, prior []float64) (float64, error) {
+	post, err := Posterior(m, prior)
+	if err != nil {
+		return 0, err
+	}
+	var mp float64
+	for _, row := range post {
+		for _, v := range row {
+			if v > mp {
+				mp = v
+			}
+		}
+	}
+	return mp, nil
 }
 
 // maxJointCells guards the explicit dense materialization of JointChannel:

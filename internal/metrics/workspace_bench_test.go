@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkEvaluate compares the fused Workspace evaluator against the
-// composed Privacy/Utility/MaxPosterior reference across category counts.
+// formula-by-formula EvaluateComposed oracle across category counts.
 // The fused/n=10 case is the optimizer's hot path (one call per genome per
 // generation); steady-state allocs/op must be 0.
 func BenchmarkEvaluate(b *testing.B) {
@@ -37,7 +37,9 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxPosterior isolates the bound check used by BoundReject mode.
+// BenchmarkMaxPosterior isolates the bound check: the package-level
+// MaxPosterior, which builds a throwaway Workspace per call ("composed"),
+// against a held Workspace ("fused").
 func BenchmarkMaxPosterior(b *testing.B) {
 	for _, n := range []int{4, 8, 16} {
 		r := randx.New(uint64(n))

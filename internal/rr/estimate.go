@@ -85,7 +85,7 @@ func (m *Matrix) inverted() *inversion {
 // where β is M⁻¹ (the cached inverse) and the simplification uses
 // Var(N_i/N) = P*_i(1−P*_i)/N, Cov(N_i/N, N_j/N) = −P*_i·P*_j/N and
 // Σ_i β_{k,i}·P*_i = P_k. A negative, NaN or infinite entry of p is
-// refused; metrics.PerCategoryMSE also checks that p sums to one.
+// refused; callers that need p to sum to one check that themselves.
 func (m *Matrix) InversionMSE(p []float64, records int) ([]float64, error) {
 	if records <= 0 {
 		return nil, fmt.Errorf("%w: %d records", ErrEmptyData, records)
@@ -103,11 +103,22 @@ func (m *Matrix) InversionMSE(p []float64, records int) ([]float64, error) {
 	if inv.err != nil {
 		return nil, inv.err
 	}
-	invN := 1 / float64(records)
 	out := make([]float64, len(pStar))
-	for k := range out {
+	InversionMSEInto(out, inv.inverse, pStar, records)
+	return out, nil
+}
+
+// InversionMSEInto is the Theorem-6 loop behind InversionMSE: it writes
+// MSE(c_k) = (1/N)·(Σ_i β²_{k,i}·P*_i − (Σ_i β_{k,i}·P*_i)²) into dst[k] for
+// every row k of inverse = M⁻¹, given the disguised distribution pStar = M·P
+// and N = records. dst and pStar have the inverse's order and records is
+// positive; the caller has validated both. A value that round-off drives
+// below zero (near-deterministic matrices) is stored as zero.
+func InversionMSEInto(dst []float64, inverse *matrix.Dense, pStar []float64, records int) {
+	invN := 1 / float64(records)
+	for k := range dst {
 		var quad, mean float64
-		for i, b := range inv.inverse.RowView(k) {
+		for i, b := range inverse.RowView(k) {
 			quad += b * b * pStar[i]
 			mean += b * pStar[i]
 		}
@@ -115,9 +126,8 @@ func (m *Matrix) InversionMSE(p []float64, records int) ([]float64, error) {
 		if mse < 0 {
 			mse = 0 // guard against round-off on near-deterministic matrices
 		}
-		out[k] = mse
+		dst[k] = mse
 	}
-	return out, nil
 }
 
 // HalfWidths returns the per-category half-widths z·√MSE_k of approximate

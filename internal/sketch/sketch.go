@@ -46,8 +46,10 @@ var ErrBadParams = errors.New("sketch: invalid parameters")
 
 // maxHashes bounds the sketch rows New accepts. Deployed sketches use tens
 // to tens of thousands of rows; the bound keeps a decoded scheme from
-// allocating hash coefficients for an absurd row count.
-const maxHashes = 1 << 20
+// allocating hash coefficients for an absurd row count: at 2¹⁶ rows a
+// hostile envelope costs 1 MB of coefficients, and a collector restored
+// from it k·m counters per shard.
+const maxHashes = 1 << 16
 
 // CMSScheme is a Count-Mean-Sketch randomized-response scheme. It implements
 // rr.Scheme; values are immutable after construction and safe for concurrent

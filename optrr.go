@@ -276,46 +276,31 @@ func OptimizeContext(ctx context.Context, p Problem) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("optrr: %w", err)
 	}
+	// Result rows in pareto.Compare order (ascending privacy, then utility,
+	// then the extras), each matrix sorted with its point, as in
+	// OptimizeMulti.
+	type pair struct {
+		pt Point
+		m  *Matrix
+	}
+	pairs := make([]pair, len(res.Front))
+	for i, ind := range res.Front {
+		pairs[i] = pair{pt: ind.Point(), m: ms[i]}
+	}
+	sort.Slice(pairs, func(a, b int) bool {
+		return pareto.Compare(pairs[a].pt, pairs[b].pt) < 0
+	})
 	out := &Result{
-		Front:       make([]Point, len(res.Front)),
-		matrices:    ms,
+		Front:       make([]Point, len(pairs)),
+		matrices:    make([]*Matrix, len(pairs)),
 		objectives:  cfg.Objectives,
 		Generations: res.Generations,
 		Evaluations: res.Evaluations,
 	}
-	for i, ind := range res.Front {
-		out.Front[i] = ind.Point()
+	for i, pr := range pairs {
+		out.Front[i] = pr.pt
+		out.matrices[i] = pr.m
 	}
-	// Result rows sorted by ascending privacy, matrices aligned.
-	order := make([]int, len(out.Front))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := out.Front[order[a]], out.Front[order[b]]
-		if pa.Privacy != pb.Privacy {
-			return pa.Privacy < pb.Privacy
-		}
-		if pa.Utility != pb.Utility {
-			return pa.Utility < pb.Utility
-		}
-		// Extra objectives break remaining ties lexicographically so
-		// k-dim result ordering is deterministic.
-		for t := 2; t < pa.Dim() && t < pb.Dim(); t++ {
-			if pa.At(t) != pb.At(t) {
-				return pa.At(t) < pb.At(t)
-			}
-		}
-		return false
-	})
-	sortedFront := make([]Point, len(order))
-	sortedMats := make([]*Matrix, len(order))
-	for k, i := range order {
-		sortedFront[k] = out.Front[i]
-		sortedMats[k] = out.matrices[i]
-	}
-	out.Front = sortedFront
-	out.matrices = sortedMats
 	if runErr != nil {
 		return out, fmt.Errorf("optrr: %w", runErr)
 	}
