@@ -21,12 +21,16 @@
 #                  estimates share) and the worker-parallel paths
 #                  (experiment grid, batch sampling, multi-attribute
 #                  Disguise sharing each matrix's sampler tables); the island
-#                  scheduler and the collector's concurrency tests
+#                  scheduler, the collector's concurrency tests
 #                  (multi-shard ingest, Merge and snapshots racing queries,
-#                  writers, dense and sketch schemes) additionally run under
+#                  writers, dense and sketch schemes) and the par fan-out
+#                  that every parallel path runs on additionally run under
 #                  -cpu 1,4 to exercise both the single-P and multi-P
 #                  schedules
-#   fuzz smoke     short -fuzz bursts on the sketch hash→disguise→debias
+#   fuzz smoke     fixed-count -fuzz bursts (-fuzztime Nx, each N at least
+#                  the median exec count of a quiet 5-s burst, so how much a
+#                  burst explores does not depend on the machine's load) on
+#                  the sketch hash→disguise→debias
 #                  round trip (estimates stay finite and near-normalized for
 #                  arbitrary parameters, the full-domain scan equals
 #                  one-category point queries bit for bit, and Hash equals
@@ -119,23 +123,24 @@ echo "== go test -race (collector, core, obs, rrserver, sketch, rr) =="
 go test -race ./internal/collector ./internal/core ./internal/obs \
     ./internal/rrserver ./internal/rrclient ./internal/sketch ./internal/rr
 
-echo "== go test -race -cpu 1,4 (islands, collector concurrency, joint evaluation) =="
+echo "== go test -race -cpu 1,4 (islands, collector concurrency, joint evaluation, par fan-out) =="
 go test -race -cpu 1,4 -run 'Island|Sharded|Writer|Contention|Race|Concurrent|Multi|Joint|Sketch' \
     ./internal/core ./internal/collector ./internal/metrics
+go test -race -cpu 1,4 ./internal/par
 
 echo "== go test -race (parallel paths) =="
 go test -race -run 'Parallel|Grid|Batch|Stream|Tuple' \
     ./internal/experiments ./internal/dataset ./internal/mining
 
 echo "== fuzz smoke (sketch round trip, scheme envelope, snapshot decoder, scheme body, batch codec, SPEA2 fitness, Kronecker contraction, evaluation workspace) =="
-go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 5s ./internal/sketch
-go test -run '^$' -fuzz '^FuzzUnmarshalScheme$' -fuzztime 5s ./internal/sketch
-go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 5s ./internal/collector
-go test -run '^$' -fuzz '^FuzzDecodeSchemeResponse$' -fuzztime 5s ./internal/rrapi
-go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 5s ./internal/rrapi
-go test -run '^$' -fuzz '^FuzzAssignFitnessKDim$' -fuzztime 5s ./internal/emoo
-go test -run '^$' -fuzz '^FuzzKronContract$' -fuzztime 5s ./internal/matrix
-go test -run '^$' -fuzz '^FuzzWorkspaceEvaluate$' -fuzztime 5s ./internal/metrics
+go test -run '^$' -fuzz '^FuzzCMSRoundTrip$' -fuzztime 400x ./internal/sketch
+go test -run '^$' -fuzz '^FuzzUnmarshalScheme$' -fuzztime 60000x ./internal/sketch
+go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 90000x ./internal/collector
+go test -run '^$' -fuzz '^FuzzDecodeSchemeResponse$' -fuzztime 40000x ./internal/rrapi
+go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 15000x ./internal/rrapi
+go test -run '^$' -fuzz '^FuzzAssignFitnessKDim$' -fuzztime 9000x ./internal/emoo
+go test -run '^$' -fuzz '^FuzzKronContract$' -fuzztime 200000x ./internal/matrix
+go test -run '^$' -fuzz '^FuzzWorkspaceEvaluate$' -fuzztime 80000x ./internal/metrics
 
 echo "== results (paper reproduction, byte for byte) =="
 repro=$(mktemp -d)

@@ -2,10 +2,10 @@ package core
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"optrr/internal/obs"
+	"optrr/internal/par"
 	"optrr/internal/pareto"
 	"optrr/internal/randx"
 )
@@ -67,21 +67,18 @@ func (o *Optimizer) runIslands() (Result, error) {
 		if epochEnd > cfg.Generations {
 			epochEnd = cfg.Generations
 		}
-		// Advance every live island to the epoch boundary, one goroutine
-		// per island. Islands share nothing while stepping; the barrier
-		// below restores a deterministic global state before migration.
-		var wg sync.WaitGroup
+		// Advance every live island to the epoch boundary, one worker per
+		// island. Islands share nothing while stepping; the barrier below
+		// restores a deterministic global state before migration.
+		var stepping []*islandState
 		for _, is := range islands {
-			if is.done {
-				continue
+			if !is.done {
+				stepping = append(stepping, is)
 			}
-			wg.Add(1)
-			go func(is *islandState) {
-				defer wg.Done()
-				is.advanceTo(epochEnd)
-			}(is)
 		}
-		wg.Wait()
+		par.For(len(stepping), len(stepping), func(_, i int) {
+			stepping[i].advanceTo(epochEnd)
+		})
 		for _, is := range islands {
 			if is.err != nil {
 				return Result{}, is.err

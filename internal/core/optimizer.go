@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"optrr/internal/emoo"
 	"optrr/internal/metrics"
 	"optrr/internal/obs"
+	"optrr/internal/par"
 	"optrr/internal/pareto"
 	"optrr/internal/randx"
 	"optrr/internal/rr"
@@ -1011,9 +1010,9 @@ func (o *engine[G]) selectEnvironment(pts []pareto.Point) ([]int, error) {
 
 // realize repairs, evaluates and — where evaluation is impossible (singular
 // matrix, unrepairable bound) — replaces genomes with fresh random feasible
-// ones. Repair and evaluation are pure, so they run on a worker pool, each
-// worker evaluating through its own persistent scratch; genome replacement
-// draws from the sequential RNG to keep runs deterministic.
+// ones. Repair and evaluation are pure, so they fan out through par.For,
+// each worker evaluating through its own persistent scratch; genome
+// replacement draws from the sequential RNG to keep runs deterministic.
 func (o *engine[G]) realize(genomes []G) ([]individual[G], error) {
 	cfg := o.cfg
 	out := make([]individual[G], len(genomes))
@@ -1021,7 +1020,7 @@ func (o *engine[G]) realize(genomes []G) ([]individual[G], error) {
 		o.outcomes = make([]genomeOutcome, len(genomes))
 	}
 	oc := o.outcomes[:len(genomes)]
-	o.parallelFor(len(genomes), func(w, i int) {
+	par.For(cfg.Workers, len(genomes), func(w, i int) {
 		out[i], oc[i] = o.prob.realizeGenome(genomes[i], w)
 	})
 	o.evaluations += len(genomes)
@@ -1068,37 +1067,4 @@ func (t *generationTally) add(c genomeOutcome) {
 	if c.rejected {
 		t.rejects++
 	}
-}
-
-// parallelFor runs fn(worker, i) for i in [0, n) on the configured worker
-// count. The worker index identifies which goroutine is calling, so callers
-// can hand each goroutine exclusive scratch state; the index partition never
-// affects results because scratch contents are overwritten per item. The
-// calling goroutine is worker 0 and only Workers−1 helpers are started;
-// every worker claims its next index from a shared atomic counter, so no
-// goroutine only hands out work.
-func (o *engine[G]) parallelFor(n int, fn func(worker, i int)) {
-	workers := min(o.cfg.Workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func(w int) {
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			fn(w, i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			work(w)
-		}(w)
-	}
-	work(0)
-	wg.Wait()
 }

@@ -12,13 +12,11 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"optrr/internal/par"
 	"optrr/internal/randx"
 )
 
@@ -170,15 +168,10 @@ func Sample(p []float64, n int, r *randx.Source) (*Categorical, error) {
 	return &Categorical{n: len(p), records: records}, nil
 }
 
-// sampleChunk is the fixed record-chunk granularity of SampleBatch; chunk c
-// always draws from randx.Stream(seed, c), so the partition — and therefore
-// the sampled data set — is independent of the worker count.
-const sampleChunk = 8192
-
 // SampleBatch draws N records i.i.d. from the probability vector p, like
-// Sample, but fans fixed 8192-record chunks out over the given number of
-// workers (zero means GOMAXPROCS). The result depends only on (p, n, seed):
-// every worker count produces the identical data set.
+// Sample, but fans the records out in par.Chunks' fixed chunks over the
+// given number of workers (zero means GOMAXPROCS). The result depends only
+// on (p, n, seed): every worker count produces the identical data set.
 func SampleBatch(p []float64, n int, seed uint64, workers int) (*Categorical, error) {
 	if err := ValidateDistribution(p); err != nil {
 		return nil, err
@@ -187,55 +180,16 @@ func SampleBatch(p []float64, n int, seed uint64, workers int) (*Categorical, er
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
+	// The alias table is immutable and each chunk writes a disjoint range,
+	// so workers share everything but their chunk streams. The body cannot
+	// fail, so neither can Chunks.
 	records := make([]int, n)
-	if n > 0 {
-		chunks := (n + sampleChunk - 1) / sampleChunk
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+	_ = par.Chunks(n, seed, workers, func(lo, hi int, r *randx.Source) error {
+		for i := lo; i < hi; i++ {
+			records[i] = alias.Draw(r)
 		}
-		if workers > chunks {
-			workers = chunks
-		}
-		fill := func(c int) {
-			lo := c * sampleChunk
-			hi := lo + sampleChunk
-			if hi > n {
-				hi = n
-			}
-			r := randx.Stream(seed, uint64(c))
-			for i := lo; i < hi; i++ {
-				records[i] = alias.Draw(r)
-			}
-		}
-		if workers <= 1 {
-			for c := 0; c < chunks; c++ {
-				fill(c)
-			}
-		} else {
-			// The alias table is immutable and each chunk writes a disjoint
-			// range, so workers share everything but their chunk streams.
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(workers - 1)
-			body := func() {
-				for {
-					c := int(cursor.Add(1)) - 1
-					if c >= chunks {
-						return
-					}
-					fill(c)
-				}
-			}
-			for w := 1; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					body()
-				}()
-			}
-			body()
-			wg.Wait()
-		}
-	}
+		return nil
+	})
 	return &Categorical{n: len(p), records: records}, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"optrr/internal/par"
 	"optrr/internal/randx"
 )
 
@@ -445,7 +446,7 @@ func BenchmarkAdultGenerate(b *testing.B) {
 // counts straddling the chunk boundary.
 func TestSampleBatchDeterministicAcrossWorkers(t *testing.T) {
 	p := []float64{0.5, 0.3, 0.15, 0.05}
-	for _, n := range []int{0, 1, sampleChunk - 1, sampleChunk, 2*sampleChunk + 13} {
+	for _, n := range []int{0, 1, par.Chunk - 1, par.Chunk, 2*par.Chunk + 13} {
 		want, err := SampleBatch(p, n, 42, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"optrr/internal/obs"
+	"optrr/internal/par"
 )
 
 // Outcome is the result of one grid cell: the experiment together with its
@@ -37,21 +36,6 @@ type GridOptions struct {
 	Registry *obs.Registry
 }
 
-// gridWorkers resolves the worker count of a grid over n cells: Workers when
-// positive, GOMAXPROCS otherwise, never more than one per cell.
-func gridWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // RunGrid runs every experiment of the grid under the shared configuration,
 // fanning the cells out over cfg.Workers goroutines (zero means GOMAXPROCS).
 // The returned outcomes are in input order regardless of completion order.
@@ -66,7 +50,7 @@ func RunGrid(exps []Experiment, cfg Config, opts GridOptions) []Outcome {
 	if len(exps) == 0 {
 		return out
 	}
-	workers := gridWorkers(cfg.Workers, len(exps))
+	workers := par.Workers(cfg.Workers, len(exps))
 	rec := obs.OrNop(opts.Recorder)
 	if opts.Registry != nil {
 		opts.Registry.Gauge("experiments.workers").Set(float64(workers))
@@ -78,25 +62,12 @@ func RunGrid(exps []Experiment, cfg Config, opts GridOptions) []Outcome {
 		})
 	}
 
-	// Cells are claimed from a channel rather than pre-partitioned: the cost
+	// Cells are claimed one at a time rather than pre-partitioned: the cost
 	// of a cell varies by orders of magnitude (fact1 is instant, fig4a runs a
 	// full EMO search), so static assignment would leave workers idle.
-	cells := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for i := range cells {
-				out[i] = runCell(exps[i], cfg, worker, rec, opts.Registry)
-			}
-		}(w)
-	}
-	for i := range exps {
-		cells <- i
-	}
-	close(cells)
-	wg.Wait()
+	par.For(workers, len(exps), func(worker, i int) {
+		out[i] = runCell(exps[i], cfg, worker, rec, opts.Registry)
+	})
 	return out
 }
 

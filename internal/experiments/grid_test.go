@@ -144,22 +144,3 @@ func TestRunGridCancelledContext(t *testing.T) {
 		t.Errorf("cells.skipped = %d, want %d", got, len(exps))
 	}
 }
-
-// TestGridWorkersResolution pins the worker resolution rules.
-func TestGridWorkersResolution(t *testing.T) {
-	cases := []struct{ workers, n, want int }{
-		{0, 8, runtime.GOMAXPROCS(0)}, // unset → GOMAXPROCS
-		{3, 8, 3},
-		{16, 3, 3}, // never more than one per cell
-		{-2, 5, runtime.GOMAXPROCS(0)},
-	}
-	for _, tc := range cases {
-		want := tc.want
-		if want > tc.n {
-			want = tc.n
-		}
-		if got := gridWorkers(tc.workers, tc.n); got != want {
-			t.Errorf("gridWorkers(%d, %d) = %d, want %d", tc.workers, tc.n, got, want)
-		}
-	}
-}

@@ -11,7 +11,7 @@ import (
 
 // randomStochastic draws a random column-stochastic matrix of size n. shape
 // tilts the draw: 0 uniform Dirichlet-ish columns, 1 near-deterministic
-// (diagonal mass ≈ 1, exercising the MSE round-off clamp), 2 near-singular
+// (diagonal mass ≈ 1), 2 near-singular
 // (all columns pulled toward one shared column, stressing the LU path).
 func randomStochastic(r *randx.Source, n, shape int) *rr.Matrix {
 	cols := make([][]float64, n)
@@ -125,17 +125,40 @@ func TestWorkspaceEvaluateMatchesComposed(t *testing.T) {
 	}
 }
 
-// TestWorkspaceEvaluateHitsClampAndSingular pins the two edge branches the
-// random sweep must cover: the round-off clamp (near-deterministic matrices
-// drive quad−mean² slightly negative) and singular-matrix rejection.
+// TestWorkspaceEvaluateHitsClampAndSingular pins two edge branches the
+// random sweep does not reach: the Theorem-6 round-off clamp and
+// singular-matrix rejection. Column 0 of the clamp input sums to 1 + 1e-9,
+// inside FromColumns' tolerance, so under the prior (1, 0) row 0's
+// quad − mean² is 1/(1 + 1e-9) − 1 < 0 and its unclamped MSE at N = 1000 is
+// −1e-12. Both Theorem-6 loops must store it as zero: rr.InversionMSEInto,
+// behind InversionMSE and the workspace, and the joint workspace's own, at
+// d = 1 and for the input ⊗ the 2×2 identity at d = 2.
 func TestWorkspaceEvaluateHitsClampAndSingular(t *testing.T) {
 	r := randx.New(7)
 	ws := NewWorkspace()
 
-	m := randomStochastic(r, 6, 1) // near-identity
-	prior := randomPrior(r, 6)
-	if _, err := ws.Evaluate(m, prior, 1000); err != nil {
-		t.Fatalf("near-deterministic matrix should evaluate: %v", err)
+	m, err := rr.FromColumns([][]float64{{1 + 1e-9, 0}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := []float64{1, 0}
+	if mses, err := m.InversionMSE(prior, 1000); err != nil || mses[0] != 0 || mses[1] != 0 {
+		t.Fatalf("InversionMSE = %v (err %v), want [0 0]", mses, err)
+	}
+	if ev, err := ws.Evaluate(m, prior, 1000); err != nil || ev.Utility != 0 {
+		t.Fatalf("Workspace.Evaluate utility = %g (err %v), want 0", ev.Utility, err)
+	}
+	jws := NewJointWorkspace()
+	for _, tc := range []struct {
+		ms    []*rr.Matrix
+		joint []float64
+	}{
+		{[]*rr.Matrix{m}, prior},
+		{[]*rr.Matrix{m, rr.Identity(2)}, []float64{1, 0, 0, 0}},
+	} {
+		if ev, err := jws.Evaluate(tc.ms, tc.joint, 1000); err != nil || ev.Utility != 0 {
+			t.Fatalf("JointWorkspace.Evaluate at d=%d: utility = %g (err %v), want 0", len(tc.ms), ev.Utility, err)
+		}
 	}
 
 	// Exactly singular: two identical columns.

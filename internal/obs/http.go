@@ -35,6 +35,21 @@ type Server struct {
 // grace period only matters for a pprof profile in progress.
 const shutdownTimeout = 5 * time.Second
 
+// The server's per-connection deadlines, so that no client holds a handler
+// or a connection open indefinitely. A request's headers must arrive within
+// readHeaderTimeout and the whole request, body included, within
+// readTimeout, the SDK's own request timeout. A response must be written
+// within writeTimeout; pprof's profile and trace handlers extend that
+// deadline by the length they are asked to record, so a default 30-s CPU
+// profile still completes. An idle keep-alive connection is closed after
+// idleTimeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve starts a debug server on addr ("host:port"; ":0" picks a free port).
 // reg may be nil; when non-nil it is additionally served at /metrics. The
 // server runs until Close.
@@ -69,7 +84,13 @@ func ServeMux(addr string, reg *Registry, register func(mux *http.ServeMux)) (*S
 	if register != nil {
 		register(mux)
 	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	s := &Server{ln: ln, srv: srv}
 	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
 	return s, nil

@@ -91,6 +91,28 @@ func TestServerCloseDuringScrapesConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestServeMuxBoundsWholeRequests: besides the header timeout, the server
+// bounds a whole request's read, a response's write and an idle keep-alive
+// connection, so a client that stalls its body or never sends another
+// request cannot hold a handler or a connection open indefinitely. A CPU
+// profile still answers, because pprof extends the write deadline by the
+// profile's length.
+func TestServeMuxBoundsWholeRequests(t *testing.T) {
+	srv, err := ServeMux("127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Fatalf("ServeMux: %v", err)
+	}
+	defer srv.Close()
+	h := srv.srv
+	if h.ReadHeaderTimeout <= 0 || h.ReadTimeout <= 0 || h.WriteTimeout <= 0 || h.IdleTimeout <= 0 {
+		t.Fatalf("timeouts read-header %v, read %v, write %v, idle %v; want all set",
+			h.ReadHeaderTimeout, h.ReadTimeout, h.WriteTimeout, h.IdleTimeout)
+	}
+	if code, _, body := fetch(t, "http://"+srv.Addr()+"/debug/pprof/profile?seconds=1", ""); code != http.StatusOK {
+		t.Fatalf("CPU profile: status %d: %s", code, body)
+	}
+}
+
 // TestServeMuxExtraRoutes: an application hook mounts its own routes on the
 // obs server and the debug endpoints keep working beside them.
 func TestServeMuxExtraRoutes(t *testing.T) {

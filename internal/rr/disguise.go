@@ -2,100 +2,10 @@ package rr
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"optrr/internal/par"
 	"optrr/internal/randx"
 )
-
-// disguiseChunk is the fixed record-chunk granularity of the batched
-// disguise kernel. The partition into chunks depends only on the record
-// count, and chunk c always draws from randx.Stream(seed, c), so the output
-// is bit-for-bit identical at every worker count. 8192 records amortize the
-// per-chunk Source construction to well under a nanosecond per record.
-const disguiseChunk = 8192
-
-// batchWorkers resolves the worker count for a batch over the given number
-// of chunks: GOMAXPROCS when unset, never more than one per chunk.
-func batchWorkers(workers, chunks int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// BatchChunks runs body over [0, total) partitioned into fixed chunks of
-// 8192 items, fanned out over the given number of workers (zero means
-// GOMAXPROCS). Chunk c covers [c·8192, min((c+1)·8192, total)) and always
-// receives the deterministic stream randx.Stream(seed, c), so for any body
-// that writes only to its own chunk's output the result depends only on
-// (total, seed, body), never on the worker count. This is the shared batch
-// driver behind every scheme's DisguiseBatchInto.
-//
-// Error semantics match a serial sweep: the error returned is the one the
-// in-chunk-order scan hits first. In the serial case (one worker) later
-// chunks are not run after a failure; in the parallel case in-flight chunks
-// finish but the first-in-order error is reported.
-func BatchChunks(total int, seed uint64, workers int, body func(lo, hi int, rng *randx.Source) error) error {
-	if total <= 0 {
-		return nil
-	}
-	chunks := (total + disguiseChunk - 1) / disguiseChunk
-	oneChunk := func(c int) error {
-		lo := c * disguiseChunk
-		hi := lo + disguiseChunk
-		if hi > total {
-			hi = total
-		}
-		return body(lo, hi, randx.Stream(seed, uint64(c)))
-	}
-	workers = batchWorkers(workers, chunks)
-	if workers == 1 {
-		for c := 0; c < chunks; c++ {
-			if err := oneChunk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Chunks are claimed from an atomic cursor; error reporting scans the
-	// per-chunk results in chunk order afterwards, so the error surfaced is
-	// the one the serial sweep would have hit first.
-	errs := make([]error, chunks)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	run := func() {
-		for {
-			c := int(cursor.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			errs[c] = oneChunk(c)
-		}
-	}
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // DisguiseBatch is DisguiseBatchInto with a freshly allocated result slice.
 func (m *Matrix) DisguiseBatch(records []int, seed uint64, workers int) ([]int, error) {
@@ -109,8 +19,8 @@ func (m *Matrix) DisguiseBatch(records []int, seed uint64, workers int) ([]int, 
 // DisguiseBatchInto applies randomized response to every record — each
 // original category c_i replaced by a draw from column i of M — writing the
 // disguised categories into dst (same length as records). The records are
-// processed through BatchChunks, so the output depends only on
-// (M, records, seed), never on the worker count.
+// processed through par.Chunks, so the output depends only on
+// (M, records, seed), never on the worker count (zero means GOMAXPROCS).
 //
 // On error — an out-of-range record, reported exactly as Disguise reports
 // it, for the first offending record — the contents of dst are unspecified.
@@ -125,7 +35,7 @@ func (m *Matrix) DisguiseBatchInto(dst, records []int, seed uint64, workers int)
 		return err
 	}
 	n := len(samplers)
-	return BatchChunks(len(records), seed, workers, func(lo, hi int, rng *randx.Source) error {
+	return par.Chunks(len(records), seed, workers, func(lo, hi int, rng *randx.Source) error {
 		for k := lo; k < hi; k++ {
 			rec := records[k]
 			if rec < 0 || rec >= n {

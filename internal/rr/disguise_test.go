@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"optrr/internal/par"
 	"optrr/internal/randx"
 )
 
@@ -28,7 +29,7 @@ func TestDisguiseBatchDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, total := range []int{1, disguiseChunk - 1, disguiseChunk, disguiseChunk + 1, 3*disguiseChunk + 77} {
+	for _, total := range []int{1, par.Chunk - 1, par.Chunk, par.Chunk + 1, 3*par.Chunk + 77} {
 		recs := batchRecords(5, total, uint64(total))
 		want, err := m.DisguiseBatch(recs, 42, 1)
 		if err != nil {
@@ -61,18 +62,18 @@ func TestDisguiseBatchChunkBoundaryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	totals := []int{
-		1, 17, disguiseChunk / 2,
-		disguiseChunk - 1, disguiseChunk + 1,
-		2*disguiseChunk - 1, 2*disguiseChunk + 1,
-		2*disguiseChunk + disguiseChunk/3,
-		5*disguiseChunk - 123,
+		1, 17, par.Chunk / 2,
+		par.Chunk - 1, par.Chunk + 1,
+		2*par.Chunk - 1, 2*par.Chunk + 1,
+		2*par.Chunk + par.Chunk/3,
+		5*par.Chunk - 123,
 	}
 	maxWorkers := runtime.GOMAXPROCS(0) + 3
 	if maxWorkers < 9 {
 		maxWorkers = 9
 	}
 	for _, total := range totals {
-		if total%disguiseChunk == 0 {
+		if total%par.Chunk == 0 {
 			t.Fatalf("test bug: total %d is a chunk multiple", total)
 		}
 		recs := batchRecords(7, total, 1000+uint64(total))
@@ -91,49 +92,6 @@ func TestDisguiseBatchChunkBoundaryProperty(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBatchChunksSchedule pins the shared driver's contract directly: every
-// index is visited exactly once, chunk c spans [c·8192, min((c+1)·8192,
-// total)) and receives the stream for index c, at any worker count.
-func TestBatchChunksSchedule(t *testing.T) {
-	total := 2*disguiseChunk + 99
-	for _, w := range []int{0, 1, 2, 5} {
-		visited := make([]int, total)
-		err := BatchChunks(total, 55, w, func(lo, hi int, rng *randx.Source) error {
-			c := lo / disguiseChunk
-			if lo != c*disguiseChunk {
-				return errors.New("chunk start off the 8192 grid")
-			}
-			wantHi := lo + disguiseChunk
-			if wantHi > total {
-				wantHi = total
-			}
-			if hi != wantHi {
-				return errors.New("chunk end off the 8192 grid")
-			}
-			if got, want := rng.Uint64(), randx.Stream(55, uint64(c)).Uint64(); got != want {
-				return errors.New("chunk stream not Stream(seed, chunk)")
-			}
-			for i := lo; i < hi; i++ {
-				visited[i]++
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for i, v := range visited {
-			if v != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", w, i, v)
-			}
-		}
-	}
-	if err := BatchChunks(0, 1, 4, func(lo, hi int, rng *randx.Source) error {
-		return errors.New("body ran for an empty batch")
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -181,8 +139,8 @@ func TestDisguiseBatchErrors(t *testing.T) {
 	}
 	// The bad record sits in the second chunk; every worker count must
 	// report that exact record, matching the serial Disguise message.
-	recs := batchRecords(3, 2*disguiseChunk, 3)
-	bad := disguiseChunk + 17
+	recs := batchRecords(3, 2*par.Chunk, 3)
+	bad := par.Chunk + 17
 	recs[bad] = 9
 	recs[bad+100] = -1
 	wantMsg := "record 8209 has category 9"
@@ -216,7 +174,7 @@ func TestDisguiseBatchEmpty(t *testing.T) {
 // unchanged on every path.
 func TestDisguiseBatchIdentity(t *testing.T) {
 	m := Identity(6)
-	recs := batchRecords(6, disguiseChunk+33, 5)
+	recs := batchRecords(6, par.Chunk+33, 5)
 	got, err := m.DisguiseBatch(recs, 11, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"optrr/internal/par"
 	"optrr/internal/randx"
 )
 
@@ -43,7 +44,7 @@ func mustTuple(t *testing.T, sizes []int, p float64) []*Matrix {
 func TestTupleDisguiseBatchDeterministicAcrossWorkers(t *testing.T) {
 	sizes := []int{3, 5, 2}
 	ms := mustTuple(t, sizes, 0.7)
-	for _, total := range []int{1, disguiseChunk - 1, disguiseChunk + 1} {
+	for _, total := range []int{1, par.Chunk - 1, par.Chunk + 1} {
 		recs := tupleRecords(sizes, total, uint64(total))
 		want, err := TupleDisguiseBatch(ms, recs, 42, 1)
 		if err != nil {

@@ -43,7 +43,7 @@ type Scheme interface {
 	// result except through the scheme's randomized channel.
 	DisguiseValue(value int, rng *randx.Source) (int, error)
 	// DisguiseBatchInto disguises records into dst (same length) using the
-	// deterministic chunked schedule of BatchChunks: the output depends only
+	// deterministic chunked schedule of par.Chunks: the output depends only
 	// on (scheme, records, seed), never on the worker count.
 	DisguiseBatchInto(dst, records []int, seed uint64, workers int) error
 	// EstimateFrom debiases aggregated report counts (length ReportSpace())

@@ -28,6 +28,7 @@ import (
 
 	"optrr/internal/matrix"
 	"optrr/internal/metrics"
+	"optrr/internal/par"
 	"optrr/internal/randx"
 	"optrr/internal/rr"
 	"optrr/internal/strictjson"
@@ -233,8 +234,8 @@ func (s *CMSScheme) disguise(value int, rng *randx.Source, samplers []*randx.Ali
 }
 
 // DisguiseBatchInto disguises records into dst (same length) through
-// rr.BatchChunks, so the output depends only on (scheme, records, seed),
-// never on the worker count.
+// par.Chunks, so the output depends only on (scheme, records, seed), never
+// on the worker count.
 func (s *CMSScheme) DisguiseBatchInto(dst, records []int, seed uint64, workers int) error {
 	if len(dst) != len(records) {
 		return fmt.Errorf("%w: dst length %d for %d records", rr.ErrShape, len(dst), len(records))
@@ -243,7 +244,7 @@ func (s *CMSScheme) DisguiseBatchInto(dst, records []int, seed uint64, workers i
 	if err != nil {
 		return err
 	}
-	return rr.BatchChunks(len(records), seed, workers, func(lo, hi int, rng *randx.Source) error {
+	return par.Chunks(len(records), seed, workers, func(lo, hi int, rng *randx.Source) error {
 		for k := lo; k < hi; k++ {
 			rep, err := s.disguise(records[k], rng, samplers)
 			if err != nil {
