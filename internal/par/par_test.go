@@ -108,11 +108,14 @@ func TestChunksSchedule(t *testing.T) {
 }
 
 // TestChunksFirstErrorInOrder: when several chunks fail, the error reported
-// is the lowest-numbered chunk's, whichever finished first.
+// is the lowest-numbered chunk's, whichever finished first, and every chunk
+// still runs.
 func TestChunksFirstErrorInOrder(t *testing.T) {
 	total := 6*Chunk + 5
 	for _, w := range []int{1, 2, 4} {
+		var ran atomic.Int32
 		err := Chunks(total, 9, w, func(lo, hi int, rng *randx.Source) error {
+			ran.Add(1)
 			if c := lo / Chunk; c == 2 || c == 3 || c == 6 {
 				return fmt.Errorf("chunk %d", c)
 			}
@@ -120,6 +123,9 @@ func TestChunksFirstErrorInOrder(t *testing.T) {
 		})
 		if err == nil || err.Error() != "chunk 2" {
 			t.Errorf("workers=%d: error = %v, want chunk 2", w, err)
+		}
+		if r := ran.Load(); r != 7 {
+			t.Errorf("workers=%d: %d of 7 chunks ran", w, r)
 		}
 	}
 }
